@@ -340,6 +340,9 @@ func (co *Coordinator) Status() Status {
 		Expired: co.expired, Incarnation: co.incarnation, Recovered: co.recovered,
 	}
 	st.Done = st.Units - st.Pending - st.Leased
+	if co.led.err != nil {
+		st.LedgerError = co.led.err.Error()
+	}
 	return st
 }
 

@@ -101,6 +101,10 @@ type Status struct {
 	// Recovered counts ranges found already merged (and re-verified)
 	// when this incarnation replayed the lease ledger.
 	Recovered int `json:"recovered"`
+	// LedgerError is the lease ledger's latched write failure, empty
+	// while the ledger is healthy. Once set, the fleet runs on but a
+	// coordinator restart can no longer resume from the ledger.
+	LedgerError string `json:"ledger_error,omitempty"`
 }
 
 // Wire messages.

@@ -1,13 +1,11 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
+	"cookiewalk/internal/framelog"
 	"cookiewalk/internal/xrand"
 )
 
@@ -24,19 +22,23 @@ import (
 // through to the existing 410 fence and the workers holding them simply
 // drop their ranges and lease again.
 //
-// File layout (Dir/ledger.cwl):
+// File layout (Dir/ledger.cwl), an internal/framelog log:
 //
-//	file  := magic line*
-//	magic := "cwled1\n"
-//	line  := hex16(fnv1a(payload)) " " payload "\n"
+//	file  := "cwled2\n" frame*
+//	frame := uvarint(len(payload)) u64le(fnv1a(payload)) payload
 //
-// where payload is one JSON-encoded ledgerEvent. The framing gives the
-// same torn-tail guarantee as the visit journals: a crash at any byte
-// leaves a prefix of fully checksummed lines, scanning stops at the
-// first torn or corrupt line, and a reopening writer truncates that
-// tail before appending. Events are fsynced as they are written — the
-// ledger records control-plane transitions (per lease, per range), not
-// per-visit data, so the sync cost is negligible next to a crawl.
+// where payload is one JSON-encoded ledgerEvent. The framing is the
+// visit journals', with the same torn-tail guarantee: a crash at any
+// byte leaves a prefix of fully checksummed frames, scanning stops at
+// the first torn or corrupt frame, and a reopening writer truncates
+// that tail before appending. Events are fsynced as they are written —
+// the ledger records control-plane transitions (per lease, per range),
+// not per-visit data, so the sync cost is negligible next to a crawl.
+//
+// A file under any other magic — including the hex-line "cwled1\n"
+// ledgers of earlier builds — is refused, never read as empty: an empty
+// ledger means a fresh fleet, and a fresh fleet wipes the assembly
+// directories.
 //
 // The ledger is advisory where it can be and authoritative only where
 // it must: merge events name the ranges whose assembly files should
@@ -50,7 +52,13 @@ import (
 const ledgerName = "ledger.cwl"
 
 // ledgerMagic identifies (and versions) ledger files.
-const ledgerMagic = "cwled1\n"
+const ledgerMagic = "cwled2\n"
+
+// maxLedgerEvent bounds one event's JSON; events are a few hundred
+// bytes. An event over it (say, an absurd worker name from a lease
+// request) fails its append and latches the ledger instead of writing
+// a frame that every later scan would stop at.
+const maxLedgerEvent = 1 << 20
 
 // Ledger event kinds.
 const (
@@ -99,94 +107,28 @@ func fleetHash(specs []Spec) uint64 {
 // assembly files alone, which is slower (unrecorded merges re-verify
 // as done only via the file probe) but never wrong.
 type ledger struct {
-	f   *os.File
+	w   *framelog.Writer
 	err error
 }
 
 // openLedger opens (or creates) the ledger at path and returns every
 // valid event already recorded. An existing file is scanned first and
-// truncated to its last valid line, so appends always extend a
-// consistent prefix.
+// truncated to its last valid frame, so appends always extend a
+// consistent prefix; a foreign file is refused with an error naming it.
 func openLedger(path string) (*ledger, []ledgerEvent, error) {
-	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, nil, err
+	var events []ledgerEvent
+	w, err := framelog.Open(path, ledgerMagic, maxLedgerEvent, func(p []byte) bool {
+		var ev ledgerEvent
+		if json.Unmarshal(p, &ev) != nil {
+			return false
 		}
-		if _, err := f.WriteString(ledgerMagic); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return &ledger{f: f}, nil, nil
-	case err != nil:
-		return nil, nil, err
-	}
-	events, valid := scanLedger(data)
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+		events = append(events, ev)
+		return true
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if valid == 0 {
-		// The file existed but even the magic was torn: rewrite it.
-		if _, err := f.WriteString(ledgerMagic); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	return &ledger{f: f}, events, nil
-}
-
-// scanLedger parses ledger bytes, returning every valid event and the
-// byte offset of the end of the last valid line (the truncation point
-// for writers). Parsing stops at the first invalid line: a missing
-// newline (torn tail), a malformed or mismatching checksum, or
-// undecodable JSON.
-func scanLedger(data []byte) (events []ledgerEvent, valid int) {
-	if len(data) < len(ledgerMagic) || string(data[:len(ledgerMagic)]) != ledgerMagic {
-		return nil, 0
-	}
-	off := len(ledgerMagic)
-	valid = off
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return events, valid // torn tail: no newline yet
-		}
-		line := data[off : off+nl]
-		if len(line) < 18 || line[16] != ' ' {
-			return events, valid
-		}
-		sum, err := hex.DecodeString(string(line[:16]))
-		if err != nil {
-			return events, valid
-		}
-		payload := line[17:]
-		var want uint64
-		for _, b := range sum {
-			want = want<<8 | uint64(b)
-		}
-		if xrand.Hash64(string(payload)) != want {
-			return events, valid
-		}
-		var ev ledgerEvent
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			return events, valid
-		}
-		events = append(events, ev)
-		off += nl + 1
-		valid = off
-	}
-	return events, valid
+	return &ledger{w: w}, events, nil
 }
 
 // append frames, writes and fsyncs one event. After the first failure
@@ -195,17 +137,14 @@ func (l *ledger) append(ev ledgerEvent) error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.f == nil {
+	if l.w == nil {
 		l.err = errors.New("dist: ledger: closed")
 		return l.err
 	}
 	payload, err := json.Marshal(ev)
 	if err == nil {
-		line := fmt.Sprintf("%016x %s\n", xrand.Hash64(string(payload)), payload)
-		if _, werr := l.f.WriteString(line); werr != nil {
-			err = werr
-		} else if serr := l.f.Sync(); serr != nil {
-			err = serr
+		if err = l.w.Append(payload); err == nil {
+			err = l.w.Sync()
 		}
 	}
 	if err != nil {
@@ -219,14 +158,11 @@ func (l *ledger) append(ev ledgerEvent) error {
 // latched failure (the close error is reported but state was already
 // degraded).
 func (l *ledger) close() error {
-	if l.f == nil {
+	if l.w == nil {
 		return nil
 	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
+	err := l.w.Close()
+	l.w = nil
 	if l.err == nil && err != nil {
 		l.err = err
 	}

@@ -1,10 +1,14 @@
 package dist
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"cookiewalk/internal/framelog"
 )
 
 // TestLedgerRoundTripAndTornTail: events appended to a ledger survive
@@ -77,8 +81,8 @@ func TestLedgerRoundTripAndTornTail(t *testing.T) {
 }
 
 // TestLedgerCorruptLineStopsScan: flipping one payload byte breaks the
-// line checksum and parsing stops there — everything after a corrupt
-// line is untrusted, exactly like the visit journals.
+// frame checksum and parsing stops there — everything after a corrupt
+// frame is untrusted, exactly like the visit journals.
 func TestLedgerCorruptLineStopsScan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ledgerName)
 	led, _, err := openLedger(path)
@@ -94,18 +98,14 @@ func TestLedgerCorruptLineStopsScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte inside the SECOND event's payload (past the magic
-	// and the first full line).
-	lines := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines++
-			if lines == 2 { // magic is line 1
-				data[i+20] ^= 0x01
-				break
-			}
-		}
-	}
+	// Flip one byte inside the SECOND event's payload: past the end of
+	// the first frame and the second frame's length and checksum.
+	seen := 0
+	_, firstEnd, _ := framelog.Scan(data, ledgerMagic, maxLedgerEvent, func([]byte) bool {
+		seen++
+		return seen == 1
+	})
+	data[firstEnd+20] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +142,44 @@ func TestLedgerMissingMagicDiscardsAll(t *testing.T) {
 	}
 	if len(events) != 1 {
 		t.Fatalf("rewritten ledger replayed %d events", len(events))
+	}
+}
+
+// TestStatusSurfacesLatchedLedgerError: once a ledger append fails, the
+// fleet keeps running, but /v1/status must say the ledger is dead —
+// the fleet is no longer resumable from it. A healthy ledger omits the
+// field.
+func TestStatusSurfacesLatchedLedgerError(t *testing.T) {
+	co, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir(), TTL: time.Minute,
+		Specs: []Spec{{Label: "camp", Targets: 10, TargetsHash: 1, Shards: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	status := func() string {
+		rec := httptest.NewRecorder()
+		co.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/status", nil))
+		return rec.Body.String()
+	}
+	if body := status(); strings.Contains(body, "ledger_error") {
+		t.Fatalf("healthy ledger reported an error: %s", body)
+	}
+
+	// Close the log under the ledger: the next fsynced append fails and
+	// latches, while the grant itself still goes through.
+	co.led.w.Close()
+	co.mu.Lock()
+	lease := co.grantLocked("w0", co.now())
+	co.mu.Unlock()
+	if lease == nil {
+		t.Fatal("grant refused after the ledger died")
+	}
+	st := co.Status()
+	if st.LedgerError == "" || st.LedgerError != co.led.err.Error() || st.Leased != 1 {
+		t.Fatalf("status after ledger failure = %+v", st)
+	}
+	if body := status(); !strings.Contains(body, `"ledger_error":"dist: ledger: `) {
+		t.Fatalf("/v1/status hides the latched ledger error: %s", body)
 	}
 }
 

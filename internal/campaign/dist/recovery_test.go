@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/campaign/dist"
+	"cookiewalk/internal/framelog"
 )
 
 // mustCoordinator builds a coordinator over dir for the given specs
@@ -194,19 +196,24 @@ func TestRecoveryProbesFileWithoutMergeEvent(t *testing.T) {
 	}
 	srv1.Close()
 
-	// Drop the ledger's last line (the merge event), simulating a crash
+	// Drop the ledger's last frame (the merge event), simulating a crash
 	// after the rename but before the append reached the disk.
 	ledgerPath := filepath.Join(dir, "ledger.cwl")
 	data, err := os.ReadFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trimmed := bytes.TrimRight(data, "\n")
-	cut := bytes.LastIndexByte(trimmed, '\n')
-	if cut < 0 {
-		t.Fatal("ledger has no event lines")
+	const magic, bound = "cwled2\n", 1 << 20 // the ledger's framelog format
+	frames, _, err := framelog.Scan(data, magic, bound, nil)
+	if err != nil || frames == 0 {
+		t.Fatalf("ledger has no event frames (%v)", err)
 	}
-	if err := os.WriteFile(ledgerPath, data[:cut+1], 0o644); err != nil {
+	kept := 0
+	_, cut, _ := framelog.Scan(data, magic, bound, func([]byte) bool {
+		kept++
+		return kept < frames
+	})
+	if err := os.WriteFile(ledgerPath, data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,6 +221,53 @@ func TestRecoveryProbesFileWithoutMergeEvent(t *testing.T) {
 	st := co2.Status()
 	if st.Recovered != 1 || st.Pending != shards-1 {
 		t.Fatalf("recovered status without merge event = %+v", st)
+	}
+}
+
+// TestRecoveryRefusesForeignLedger: a ledger under another magic — here
+// the hex-line cwled1 format of earlier builds — must fail the restart
+// loudly. Reading it as empty would take the fresh-fleet path, which
+// wipes every merged shard journal in the assembly dirs.
+func TestRecoveryRefusesForeignLedger(t *testing.T) {
+	targets := testTargets(40)
+	const shards = 2
+	spec := dist.Spec{Label: "camp alpha", Targets: len(targets),
+		TargetsHash: campaign.HashTargets(targets), Shards: shards}
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	co1 := mustCoordinator(t, dir, spec)
+	srv1 := httptest.NewServer(co1.Handler())
+	client := quickClient(srv1.URL)
+	reply, err := client.Lease(ctx, "w")
+	if err != nil || reply.Lease == nil {
+		t.Fatalf("lease: %+v, %v", reply, err)
+	}
+	if err := client.ShipJournal(ctx, reply.Lease.ID, rangeJournal(t, "camp alpha", targets, 0, shards)); err != nil {
+		t.Fatal(err)
+	}
+	srv1.Close()
+	co1.Close()
+
+	shardPath := filepath.Join(dir, campaign.PathLabel(spec.Label), campaign.ShardFilename(0))
+	if _, err := os.Stat(shardPath); err != nil {
+		t.Fatalf("merged shard journal missing before restart: %v", err)
+	}
+	ledgerPath := filepath.Join(dir, "ledger.cwl")
+	old := "cwled1\n" + `4a5e757caf3e3e4a {"ev":"start","inc":1,"fleet":1,"shard":0,"lo":0,"hi":0}` + "\n"
+	if err := os.WriteFile(ledgerPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = dist.NewCoordinator(dist.CoordinatorConfig{Dir: dir, Specs: []dist.Spec{spec}, TTL: time.Minute, Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), ledgerPath) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("cwled1 ledger: NewCoordinator error = %v, want a bad-magic error naming %s", err, ledgerPath)
+	}
+	if _, err := os.Stat(shardPath); err != nil {
+		t.Fatalf("refused restart still removed the merged shard journal: %v", err)
+	}
+	if data, _ := os.ReadFile(ledgerPath); string(data) != old {
+		t.Fatal("refused restart rewrote the foreign ledger")
 	}
 }
 

@@ -58,7 +58,7 @@ type ShadowRoot struct {
 }
 
 // Node is a single DOM node. The zero value is not useful; create nodes
-// with NewElement/NewText/NewDocument or by parsing.
+// with NewElement/NewDocument or by parsing.
 type Node struct {
 	Type NodeType
 	// Tag is the lower-case element name for ElementNode.
@@ -98,9 +98,6 @@ func NewElement(tag string, kv ...string) *Node {
 	}
 	return n
 }
-
-// NewText returns a detached text node.
-func NewText(data string) *Node { return &Node{Type: TextNode, Data: data} }
 
 // AppendChild adds c as the last child of n. c is detached first if
 // necessary.
@@ -241,19 +238,6 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 		}
 	}
 	return true
-}
-
-// Descendants returns all element descendants in document order
-// (light DOM only).
-func (n *Node) Descendants() []*Node {
-	var out []*Node
-	n.Walk(func(d *Node) bool {
-		if d != n && d.Type == ElementNode {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
 }
 
 // ElementsByTag returns descendant elements with the given tag.

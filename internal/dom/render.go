@@ -70,16 +70,3 @@ func renderNode(b *strings.Builder, n *Node) {
 		b.WriteByte('>')
 	}
 }
-
-// OuterHTML is Render restricted to element nodes, matching the DOM
-// property of the same name.
-func (n *Node) OuterHTML() string { return Render(n) }
-
-// InnerHTML serializes only n's children.
-func (n *Node) InnerHTML() string {
-	var b strings.Builder
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		renderNode(&b, c)
-	}
-	return b.String()
-}

@@ -1,37 +1,33 @@
 package trend
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"cookiewalk/internal/framelog"
 	"cookiewalk/internal/measure"
 )
 
-// The time-indexed round store. One append-only journal file
-// (rounds.cwt) holds every completed round's Record as a checksummed
-// frame, in round order, using the same framing discipline as the
-// campaign checkpoint journals (internal/campaign): a magic header,
-// then frames of uvarint(payload length) + fixed64 FNV-1a checksum +
-// payload. The payload here is the Record's JSON — rounds are few
-// (one per schedule tick, not one per visit), so a self-describing
-// encoding wins over the campaign journals' byte-pinched binary.
+// The time-indexed round store. One append-only log file (rounds.cwt)
+// holds every completed round's Record as a checksummed frame, in
+// round order: an internal/framelog log, the same framing as the
+// campaign checkpoint journals, under its own magic. The payload here
+// is the Record's JSON — rounds are few (one per schedule tick, not one
+// per visit), so a self-describing encoding wins over the campaign
+// journals' byte-pinched binary.
 //
-// Durability mirrors the campaign journals: every append is fsynced
-// before Append returns, so a round is either fully in the store or
-// not in it at all; a torn tail from a mid-write crash is detected by
-// length/checksum and truncated away on Open, and the round whose
-// frame was torn simply re-runs (its crawl checkpoint journals make
-// the re-run cheap). A manifest.json identity guard refuses stores
-// built by a different study (seed/scale/reps/universe), exactly as
-// campaign manifests refuse foreign checkpoint directories.
+// Every append is fsynced before Append returns, so a round is either
+// fully in the store or not in it at all; a torn tail from a mid-write
+// crash is detected by length/checksum and truncated away on Open, and
+// the round whose frame was torn simply re-runs (its crawl checkpoint
+// journals make the re-run cheap). A manifest.json identity guard
+// refuses stores built by a different study (seed/scale/reps/universe),
+// exactly as campaign manifests refuse foreign checkpoint directories.
 
 const (
 	storeMagic   = "cwts1\n"
@@ -67,10 +63,8 @@ type Record struct {
 // Store is the open round store. It is safe for concurrent use: the
 // query API reads (Rounds, Len, Version) while the runner appends.
 type Store struct {
-	dir string
-
 	mu   sync.Mutex
-	f    *os.File
+	w    *framelog.Writer
 	recs []Record
 
 	// version counts completed appends; the response cache compares it
@@ -83,7 +77,10 @@ type Store struct {
 // Open opens (or creates) the round store in dir and verifies it
 // belongs to the study described by m. A torn tail — a frame cut short
 // or failing its checksum, from a crash mid-append — is truncated
-// away; everything before it is intact by checksum and loaded.
+// away; everything before it is intact by checksum and loaded. Records
+// must be consecutive rounds starting at 0; a frame that decodes but
+// breaks the sequence ends the valid prefix too (it can only come from
+// a foreign or corrupt writer).
 func Open(dir string, m Manifest) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trend: store: %w", err)
@@ -91,16 +88,20 @@ func Open(dir string, m Manifest) (*Store, error) {
 	if err := checkManifest(dir, m); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, storeFile)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	s := &Store{}
+	w, err := framelog.Open(filepath.Join(dir, storeFile), storeMagic, maxFrame, func(p []byte) bool {
+		var rec Record
+		if json.Unmarshal(p, &rec) != nil || rec.Round != len(s.recs) {
+			return false
+		}
+		s.recs = append(s.recs, rec)
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("trend: store: %w", err)
 	}
-	s := &Store{dir: dir, f: f}
-	if err := s.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.w = w
+	s.version.Store(uint64(len(s.recs)))
 	return s, nil
 }
 
@@ -136,79 +137,6 @@ func checkManifest(dir string, m Manifest) error {
 	}
 }
 
-// load scans the journal, keeps the valid prefix and truncates any torn
-// tail. Records must be consecutive rounds starting at 0; a frame that
-// decodes but breaks the sequence marks the valid prefix's end too (it
-// can only come from a foreign or corrupt writer).
-func (s *Store) load() error {
-	data, err := io.ReadAll(s.f)
-	if err != nil {
-		return fmt.Errorf("trend: store: %w", err)
-	}
-	if len(data) == 0 {
-		if _, err := s.f.WriteString(storeMagic); err != nil {
-			return fmt.Errorf("trend: store: %w", err)
-		}
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("trend: store: %w", err)
-		}
-		return nil
-	}
-	if len(data) < len(storeMagic) || string(data[:len(storeMagic)]) != storeMagic {
-		return fmt.Errorf("trend: %s is not a trend store (bad magic)", filepath.Join(s.dir, storeFile))
-	}
-	valid := int64(len(storeMagic))
-	rest := data[len(storeMagic):]
-	for len(rest) > 0 {
-		payload, n := nextFrame(rest)
-		if n == 0 {
-			break // torn or corrupt tail
-		}
-		var rec Record
-		if json.Unmarshal(payload, &rec) != nil || rec.Round != len(s.recs) {
-			break
-		}
-		s.recs = append(s.recs, rec)
-		valid += int64(n)
-		rest = rest[n:]
-	}
-	if valid < int64(len(data)) {
-		if err := s.f.Truncate(valid); err != nil {
-			return fmt.Errorf("trend: store: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := s.f.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("trend: store: %w", err)
-	}
-	s.version.Store(uint64(len(s.recs)))
-	return nil
-}
-
-// nextFrame decodes one frame from b, returning its payload and total
-// encoded size, or (nil, 0) when b starts with a torn or corrupt frame.
-func nextFrame(b []byte) (payload []byte, size int) {
-	length, n := binary.Uvarint(b)
-	if n <= 0 || length > maxFrame {
-		return nil, 0
-	}
-	if len(b) < n+8+int(length) {
-		return nil, 0
-	}
-	sum := binary.LittleEndian.Uint64(b[n : n+8])
-	payload = b[n+8 : n+8+int(length)]
-	if hashPayload(payload) != sum {
-		return nil, 0
-	}
-	return payload, n + 8 + int(length)
-}
-
-// hashPayload is the frame checksum (64-bit FNV-1a over the payload).
-func hashPayload(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
-}
-
 // Append durably appends one round. rec.Round must be exactly the next
 // round index — the store is a gap-free time series, and an
 // out-of-order append means the caller lost track of what's already
@@ -223,13 +151,10 @@ func (s *Store) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("trend: store: %w", err)
 	}
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	frame = binary.LittleEndian.AppendUint64(frame, hashPayload(payload))
-	frame = append(frame, payload...)
-	if _, err := s.f.Write(frame); err != nil {
+	if err := s.w.Append(payload); err != nil {
 		return fmt.Errorf("trend: store: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.w.Sync(); err != nil {
 		return fmt.Errorf("trend: store: %w", err)
 	}
 	s.recs = append(s.recs, rec)
@@ -265,17 +190,14 @@ func (s *Store) Rounds(from, to int) []Record {
 	return append([]Record(nil), s.recs[from:to+1]...)
 }
 
-// Close fsyncs and closes the journal file.
+// Close fsyncs and closes the log file.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.w == nil {
 		return nil
 	}
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
+	err := s.w.Close()
+	s.w = nil
 	return err
 }

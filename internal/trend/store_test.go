@@ -223,6 +223,38 @@ func TestStoreRefusesBadMagic(t *testing.T) {
 	}
 }
 
+// TestStoreTornMagicIsFresh: a crash (or ENOSPC) while the header of a
+// new store was being written leaves a strict prefix of the magic. That
+// is an empty store, not a foreign file: Open must accept it, and the
+// rewritten store must take appends and reopen cleanly.
+func TestStoreTornMagicIsFresh(t *testing.T) {
+	for _, torn := range []string{"", "c", "cwt", storeMagic[:len(storeMagic)-1]} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, storeFile), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, testManifest())
+		if err != nil {
+			t.Fatalf("torn magic %q: %v", torn, err)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("torn magic %q: %d records", torn, s.Len())
+		}
+		if err := s.Append(record(0)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		r, err := Open(dir, testManifest())
+		if err != nil {
+			t.Fatalf("torn magic %q, reopen: %v", torn, err)
+		}
+		if r.Len() != 1 {
+			t.Fatalf("torn magic %q, reopen: %d records, want 1", torn, r.Len())
+		}
+		r.Close()
+	}
+}
+
 // TestStoreByteDeterminism mirrors TestExportDeterminism: two stores
 // built independently from the same records are byte-identical on
 // disk.
