@@ -83,11 +83,20 @@ type Browser struct {
 	// transient failure that survived the whole retry budget) during
 	// the current composition; see ComposeErr.
 	composeErr error
-	// parser is the session-owned HTML parser: a Browser is
-	// single-goroutine by contract, so its parse state (token stacks,
-	// node-arena tail) stays worker-local for the whole session's
-	// lifetime instead of bouncing through dom's global pool per page.
+	// parser and scoped are the session-owned HTML parsers: a Browser
+	// is single-goroutine by contract, so its parse state (token
+	// stacks, node and attribute arenas) stays worker-local for the
+	// whole session's lifetime instead of bouncing through dom's global
+	// pool per page. parser serves Compose, whose trees live as long as
+	// the caller holds them; scoped serves ComposeScoped, whose trees
+	// are recycled when its callback returns.
 	parser *dom.Parser
+	scoped *dom.Parser
+	// scopedPage is the page ComposeScoped hands to its callback,
+	// reused (text buffer included) by every scoped composition.
+	scopedPage Page
+	// inScope is set while a ComposeScoped callback runs.
+	inScope bool
 	// scratch is the reusable request/header state behind the
 	// zero-resilience in-process fast path; see scratchRequest.
 	scratch reqScratch
@@ -159,6 +168,21 @@ type Page struct {
 	// Fingerprint is the page's content token, carried over from the
 	// FetchTop that produced it (see FetchResult.Fingerprint).
 	Fingerprint uint64
+
+	// parser parses the page's frames and injected fragments: the
+	// parser of the page's own document.
+	parser *dom.Parser
+	// text is the buffer behind Text.
+	text []byte
+}
+
+// Text returns n's user-visible text (see dom.Node.Text) built in the
+// page's text buffer, overwriting the previous Text result. A scoped
+// page's buffer belongs to the session: the bytes are valid until the
+// next Text call and never after the ComposeScoped callback returns.
+func (p *Page) Text(n *dom.Node) []byte {
+	p.text = n.AppendText(p.text[:0])
+	return p.text
 }
 
 // Host returns the page's host without port.
@@ -270,36 +294,73 @@ func (b *Browser) pageFingerprint(resp response, u *url.URL) uint64 {
 // script directives, frames, subresources, cosmetic filtering and
 // anti-adblock detectors — the second half of Open.
 func (b *Browser) Compose(fr FetchResult) *Page {
+	if b.parser == nil {
+		b.parser = dom.NewParser()
+	}
+	page := new(Page)
+	b.compose(page, fr, b.parser)
+	return page
+}
+
+// maxKeptText bounds the scoped page's text buffer kept across
+// compositions, so one huge page cannot pin its text for the session's
+// lifetime.
+const maxKeptText = 64 << 10
+
+// ComposeScoped is Compose for callers done with the page when fn
+// returns: it composes fr and calls fn with the page. The page, its
+// text buffer, and every tree parsed while composing it are valid only
+// inside fn. When fn returns their memory is zeroed at once and reused
+// by the session's next scoped composition, so a steady-state crawl
+// allocates no nodes or attributes per analysis, and a page retained
+// by mistake reads as empty instead of as another site's.
+//
+// fn must not keep the page, any node, or the Text bytes; strings read
+// from the tree (tag names, attribute values, Node.Text results) stay
+// valid, as they never point into recycled memory. Pages from Open,
+// Click and Compose — also ones made inside fn — are unaffected.
+// ComposeScoped must not be called from inside fn.
+func (b *Browser) ComposeScoped(fr FetchResult, fn func(*Page)) {
+	if b.inScope {
+		panic("browser: ComposeScoped called inside a ComposeScoped callback")
+	}
+	if b.scoped == nil {
+		b.scoped = dom.NewScopedParser()
+	}
+	b.inScope = true
+	defer b.endScope()
+	page := &b.scopedPage
+	b.compose(page, fr, b.scoped)
+	fn(page)
+}
+
+// endScope recycles the scoped page and its trees.
+func (b *Browser) endScope() {
+	text := b.scopedPage.text[:0]
+	if cap(text) > maxKeptText {
+		text = nil
+	}
+	b.scopedPage = Page{text: text}
+	b.scoped.Recycle()
+	b.inScope = false
+}
+
+// compose fills page from a fetched document, parsing with ps.
+func (b *Browser) compose(page *Page, fr FetchResult, ps *dom.Parser) {
 	b.composeErr = nil
-	page := &Page{
+	*page = Page{
 		URL:         fr.URL,
-		Doc:         b.parse(fr.Body),
+		Doc:         ps.Parse(fr.Body),
 		Status:      fr.Status,
 		Fingerprint: fr.Fingerprint,
+		parser:      ps,
+		text:        page.text,
 	}
 	b.runScriptDirectives(page)
 	b.loadFrames(page, page.Doc, b.MaxFrameDepth)
 	b.fetchSubresources(page)
 	b.applyCosmetics(page)
 	b.applyAdblockDetectors(page)
-	return page
-}
-
-// parse parses a document through the session-owned parser,
-// lazily created on first use and retained across Reset.
-func (b *Browser) parse(src string) *dom.Node {
-	if b.parser == nil {
-		b.parser = dom.NewParser()
-	}
-	return b.parser.Parse(src)
-}
-
-// parseFragment is parse for fragments.
-func (b *Browser) parseFragment(src string) *dom.Node {
-	if b.parser == nil {
-		b.parser = dom.NewParser()
-	}
-	return b.parser.ParseFragment(src)
 }
 
 // ComposeErr reports whether the most recent Compose was degraded by
@@ -610,7 +671,7 @@ func (b *Browser) runScriptDirectives(page *Page) {
 		if !ok {
 			continue
 		}
-		for _, child := range b.parseFragment(frag).Children() {
+		for _, child := range page.parser.ParseFragment(frag).Children() {
 			child.Detach()
 			target.AppendChild(child)
 		}
@@ -637,7 +698,7 @@ func (b *Browser) loadFrames(page *Page, root *dom.Node, depth int) {
 		if !ok {
 			continue
 		}
-		fr.FrameDoc = b.parse(body)
+		fr.FrameDoc = page.parser.Parse(body)
 		b.loadFrames(page, fr.FrameDoc, depth-1)
 	}
 }

@@ -13,8 +13,8 @@ package categorize
 
 import (
 	"sort"
-	"unicode"
-	"unicode/utf8"
+
+	"cookiewalk/internal/wordscan"
 )
 
 // keywords maps category -> distinctive content words (lower-case).
@@ -98,51 +98,19 @@ func Keywords(category string) []string {
 // back to "Others" when no keyword scores. Ties break alphabetically
 // for determinism.
 //
-// Scoring streams over the text in one pass: each token is lower-cased
-// into a reusable buffer and looked up once in a combined
-// keyword→categories bitmask table — no lowered copy of the whole
-// text, no token slice, no per-page word-count map. A category's score
-// is the number of tokens belonging to its keyword list, exactly the
-// sum the per-category counting computed.
-func Classify(text string) string {
+// Scoring streams over the text in one pass (wordscan.Tally): each
+// token, hyphens included, is looked up once in a combined
+// keyword→categories bitmask table. A category's score is the number
+// of tokens belonging to its keyword list.
+func Classify(text string) string { return classify(text) }
+
+// ClassifyBytes is Classify for text held in a byte slice, scanned in
+// place without a copy.
+func ClassifyBytes(text []byte) string { return classify(text) }
+
+func classify[T wordscan.Text](text T) string {
 	var scores [16]int // indexed by sortedCats position
-	tokens := 0
-	var buf [64]byte // stack token buffer (no closure, so it never escapes)
-	word := buf[:0]
-	for i := 0; i < len(text); {
-		// ASCII fast path: lower-case and classify bytewise; everything
-		// else goes through the same unicode calls as before. Lowering
-		// happens before the letter test, exactly like FieldsFunc over
-		// strings.ToLower(text).
-		if c := text[i]; c < utf8.RuneSelf {
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if (c >= 'a' && c <= 'z') || c == '-' {
-				word = append(word, c)
-				i++
-				continue
-			}
-			i++
-		} else {
-			r, size := utf8.DecodeRuneInString(text[i:])
-			i += size
-			if lr := unicode.ToLower(r); unicode.IsLetter(lr) || lr == '-' {
-				word = utf8.AppendRune(word, lr)
-				continue
-			}
-		}
-		if len(word) > 0 {
-			tokens++
-			addCatScores(&scores, word)
-			word = word[:0]
-		}
-	}
-	if len(word) > 0 {
-		tokens++
-		addCatScores(&scores, word)
-	}
-	if tokens == 0 {
+	if wordscan.Tally(text, keywordCats, true, &scores) == 0 {
 		return "Others"
 	}
 	best, bestScore := "Others", 0
@@ -152,18 +120,6 @@ func Classify(text string) string {
 		}
 	}
 	return best
-}
-
-// addCatScores credits every category whose keyword list contains the
-// token. The map index converts without allocating.
-func addCatScores(scores *[16]int, word []byte) {
-	mask := keywordCats[string(word)]
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			scores[i]++
-		}
-		mask >>= 1
-	}
 }
 
 // sortedCats is the taxonomy in the alphabetical tie-break order

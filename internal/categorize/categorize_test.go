@@ -1,6 +1,9 @@
 package categorize
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestClassifyByKeywords(t *testing.T) {
 	cases := map[string]string{
@@ -88,6 +91,20 @@ func TestKeywordsAreSelfClassifying(t *testing.T) {
 		text := ks[0] + " und " + ks[1] + " sowie " + ks[2]
 		if got := Classify(text); got != cat {
 			t.Errorf("category %q self-classifies as %q", cat, got)
+		}
+	}
+}
+
+// TestClassifyBytesMatchesClassify checks that scanning a byte slice in
+// place gives exactly the string result.
+func TestClassifyBytesMatchesClassify(t *testing.T) {
+	texts := []string{"", "Others", "e-mail webmail POSTFACH", "ernährung \xc3 börse börse"}
+	for _, cat := range Categories() {
+		texts = append(texts, strings.Join(Keywords(cat), " "))
+	}
+	for _, s := range texts {
+		if got, want := ClassifyBytes([]byte(s)), Classify(s); got != want {
+			t.Errorf("ClassifyBytes(%.40q) = %q, Classify = %q", s, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -41,6 +42,44 @@ func FuzzParse(f *testing.F) {
 		// serialization), which keeps snapshots stable.
 		if again := Render(doc2); again != Render(Parse(again)) {
 			t.Fatalf("render not idempotent for %q", input)
+		}
+	})
+}
+
+// FuzzScopedParse checks a scoped parser against the package-level
+// Parse: after parsing a decoy and recycling it, the parser must build
+// the same tree for the input as a fresh parse — no state leaks from
+// recycled memory — and a second Recycle must zero even the first
+// tree's root, so a stale pointer reads an empty node instead of
+// another page.
+func FuzzScopedParse(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"<html><body><p>ok</p></body></html>",
+		"<div id=a class=b><template shadowrootmode=\"open\"><b title=x>x</b></template></div>",
+		"<p><p><li><tr><td></div></span><iframe src=x>",
+		"<a href='unterminated",
+		"<div a=1 b=2 a=3 c d e f g h i j k l m n o p q r s t u v w x y z aa ab ac ad ae af ag ah>",
+	} {
+		f.Add(s)
+	}
+	const decoy = `<!DOCTYPE html><div id="decoy" class="overlay" hidden>` +
+		`<template shadowrootmode="open"><p title="stale">decoy text</p></template>` +
+		`<ul><li>one<li>two</ul><script>x()</script></div>`
+	ps := NewScopedParser()
+	f.Fuzz(func(t *testing.T, input string) {
+		first := ps.Parse(decoy)
+		ps.Recycle()
+		if !reflect.ValueOf(*first).IsZero() {
+			t.Fatalf("decoy root after Recycle = %+v, want a zeroed node", *first)
+		}
+		doc := ps.Parse(input)
+		if got, want := Render(doc), Render(Parse(input)); got != want {
+			t.Fatalf("scoped parse after recycle renders\n%q\nwant\n%q", got, want)
+		}
+		ps.Recycle()
+		if !reflect.ValueOf(*first).IsZero() {
+			t.Fatalf("decoy root after two recycles = %+v, want a zeroed node", *first)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 
+	"cookiewalk/internal/arena"
 	"cookiewalk/internal/htmlx"
 )
 
@@ -35,11 +36,12 @@ func ParseFragment(src string) *Node {
 }
 
 // parserPool recycles parser state — token stacks, the embedded
-// tokenizer, and the tail of the current node arena — for callers of
-// the package-level Parse/ParseFragment functions. Nothing handed out
-// to a document is ever reused: arenas are consumed, never rewound.
-// Worker-affine callers (the emulated browser) hold their own Parser
-// instead, so their arenas never bounce between cores through here.
+// tokenizer, and the tails of the current node and attribute chunks —
+// for callers of the package-level Parse/ParseFragment functions.
+// Nothing handed out to a document is ever reused: these arenas are
+// plain, consumed and never rewound. Worker-affine callers (the
+// emulated browser) hold their own Parser instead, so their arenas
+// never bounce between cores through here.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
 func pooledParse(src string, fragment bool) *Node {
@@ -50,23 +52,52 @@ func pooledParse(src string, fragment bool) *Node {
 }
 
 // Parser is a reusable HTML parser owning its token stacks, tokenizer
-// and node-arena tail. It is NOT safe for concurrent use: it exists so
-// a single-goroutine session (one crawl worker's browser) can keep its
-// parse state core-local across visits instead of round-tripping it
-// through the global pool on every page. Produced trees are identical
-// to the package-level Parse/ParseFragment results.
+// and node and attribute arenas. It is NOT safe for concurrent use: it
+// exists so a single-goroutine session (one crawl worker's browser)
+// can keep its parse state core-local across visits instead of
+// round-tripping it through the global pool on every page. Produced
+// trees are identical to the package-level Parse/ParseFragment
+// results.
+//
+// A parser from NewParser hands out trees that live as long as
+// anything points at them. A parser from NewScopedParser hands out
+// trees that live only until its next Recycle, which zeroes all their
+// nodes and attributes and reuses that memory for the trees that
+// follow. Strings in either kind of tree point into the parsed source,
+// never into arena memory, so they stay valid after a Recycle.
 type Parser struct {
 	p parser
 }
 
-// NewParser returns an empty reusable parser.
+// NewParser returns an empty reusable parser whose trees are never
+// recycled.
 func NewParser() *Parser { return &Parser{} }
+
+// NewScopedParser returns an empty reusable parser whose trees are
+// valid only until its next Recycle.
+func NewScopedParser() *Parser {
+	ps := &Parser{}
+	ps.p.nodes.SetRecycling()
+	ps.p.z.SetRecycling()
+	return ps
+}
 
 // Parse is Parse using this parser's recycled state.
 func (ps *Parser) Parse(src string) *Node { return ps.p.parse(src, false) }
 
 // ParseFragment is ParseFragment using this parser's recycled state.
 func (ps *Parser) ParseFragment(src string) *Node { return ps.p.parse(src, true) }
+
+// Recycle ends the lifetime of every tree a scoped parser produced
+// since its previous Recycle: their nodes and attributes are zeroed at
+// once, so a stale pointer reads an empty node instead of another
+// page's, and their memory feeds the next parses. The caller must have
+// dropped every such tree, including nodes moved into other trees. It
+// panics on a parser from NewParser.
+func (ps *Parser) Recycle() {
+	ps.p.nodes.Recycle()
+	ps.p.z.Recycle()
+}
 
 // parse runs one full parse and resets the parser's reusable state.
 func (p *parser) parse(src string, fragment bool) *Node {
@@ -97,26 +128,15 @@ type parser struct {
 	// shadowStack tracks the declarative shadow templates currently
 	// open, so end tags close the right scope.
 	shadowStack []*Node // the shadow Root fragments acting as insertion points
-	// arena is the tail of the current node-allocation chunk: nodes are
-	// handed out from it one by one so a page's worth of nodes costs a
-	// few chunk allocations instead of one per node.
-	arena []Node
+	// nodes is the node arena: a page's worth of nodes costs a few
+	// chunk allocations instead of one per node, and none at all on a
+	// warm scoped parser.
+	nodes arena.Arena[Node]
 	z     htmlx.Tokenizer
 }
 
-// nodeArenaChunk is sized so a typical farm page (≈80 nodes) consumes
-// one or two chunks.
-const nodeArenaChunk = 64
-
 // newNode hands out a zeroed node from the arena.
-func (p *parser) newNode() *Node {
-	if len(p.arena) == 0 {
-		p.arena = make([]Node, nodeArenaChunk)
-	}
-	n := &p.arena[0]
-	p.arena = p.arena[1:]
-	return n
-}
+func (p *parser) newNode() *Node { return p.nodes.New() }
 
 // newElement hands out an element node from the arena.
 func (p *parser) newElement(tag string, attrs []htmlx.Attribute) *Node {
@@ -128,8 +148,8 @@ func (p *parser) newElement(tag string, attrs []htmlx.Attribute) *Node {
 }
 
 // reset clears the parser for its next parse. Stacks are cleared so an
-// idle parser does not pin finished documents; the arena tail is kept —
-// its handed-out prefix belongs to the returned tree, the rest feeds
+// idle parser does not pin finished documents; the arenas are kept —
+// what they handed out belongs to the returned tree, the rest feeds
 // the next parse.
 func (p *parser) reset() {
 	clear(p.stack)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // skipTextTag reports elements whose text content is never
@@ -44,23 +45,33 @@ func blockTag(tag string) bool {
 // bytes (the normalizer is fed the same chunk sequence the old code
 // concatenated).
 func (n *Node) Text() string {
-	var t textNormalizer
+	b := n.AppendText(nil)
+	// The buffer is never written again, so the string may share it,
+	// exactly as strings.Builder.String does.
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendText appends n.Text() to dst and returns the extended buffer.
+// Callers that only scan the text reuse one buffer across pages
+// instead of allocating a string per call.
+func (n *Node) AppendText(dst []byte) []byte {
+	t := textNormalizer{b: dst}
 	appendText(&t, n)
-	return t.b.String()
+	return t.b
 }
 
 // textNormalizer streams chunks through the NormalizeSpace state
 // machine: runs of Unicode whitespace collapse to single ASCII spaces,
 // leading and trailing whitespace never gets written.
 type textNormalizer struct {
-	b     strings.Builder
+	b     []byte
 	space bool // pending whitespace run
 	wrote bool // a non-space rune has been written
 }
 
 func (t *textNormalizer) writeString(s string) {
 	for i := 0; i < len(s); {
-		// ASCII bytes skip rune decoding and WriteRune; the unicode
+		// ASCII bytes skip rune decoding and AppendRune; the unicode
 		// space set restricted to ASCII is exactly \t\n\v\f\r and ' '.
 		if c := s[i]; c < utf8.RuneSelf {
 			i++
@@ -69,11 +80,11 @@ func (t *textNormalizer) writeString(s string) {
 				continue
 			}
 			if t.space && t.wrote {
-				t.b.WriteByte(' ')
+				t.b = append(t.b, ' ')
 			}
 			t.space = false
 			t.wrote = true
-			t.b.WriteByte(c)
+			t.b = append(t.b, c)
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
@@ -83,11 +94,11 @@ func (t *textNormalizer) writeString(s string) {
 			continue
 		}
 		if t.space && t.wrote {
-			t.b.WriteByte(' ')
+			t.b = append(t.b, ' ')
 		}
 		t.space = false
 		t.wrote = true
-		t.b.WriteRune(r)
+		t.b = utf8.AppendRune(t.b, r)
 	}
 }
 
@@ -142,10 +153,9 @@ func (n *Node) DeepText() string {
 // Price matching depends on this: "3,99&nbsp;€" must compare equal to
 // "3,99 €".
 func NormalizeSpace(s string) string {
-	var t textNormalizer
-	t.b.Grow(len(s))
+	t := textNormalizer{b: make([]byte, 0, len(s))}
 	t.writeString(s)
-	return t.b.String()
+	return unsafe.String(unsafe.SliceData(t.b), len(t.b))
 }
 
 // --- inline style and visibility heuristics ------------------------------

@@ -1,6 +1,10 @@
 package htmlx
 
-import "strings"
+import (
+	"strings"
+
+	"cookiewalk/internal/arena"
+)
 
 // Tokenizer splits HTML input into Tokens. It operates on a string and
 // never mutates it; Tokens reference freshly built strings, so input
@@ -22,13 +26,15 @@ type Tokenizer struct {
 	// rawTag, when non-empty, is the element name whose raw-text content
 	// we are inside (script, style, title, textarea, xmp).
 	rawTag string
-	// attrs is this input's attribute arena: every start tag's
-	// attributes are appended here and sliced out with a capped
-	// three-index slice, so one page's attributes cost one or two chunk
-	// allocations instead of one per tag. The arena escapes into the
-	// emitted tokens (and from there into DOM nodes), so Reset drops it
-	// instead of truncating it.
-	attrs []Attribute
+	// attrs is the attribute arena: every start tag's attributes are
+	// built as one run and handed out as a capacity-capped slice, so a
+	// page's attributes cost one or two chunk allocations instead of
+	// one per tag. Emitted slices are never overwritten by later
+	// tokens, across Reset too. A recycling tokenizer (SetRecycling)
+	// instead keeps its chunks: Recycle zeroes every attribute emitted
+	// since the previous Recycle and reuses that memory for the tokens
+	// that follow, so a scoped parse allocates no attributes once warm.
+	attrs arena.Arena[Attribute]
 }
 
 // NewTokenizer returns a Tokenizer reading from input.
@@ -37,14 +43,24 @@ func NewTokenizer(input string) *Tokenizer {
 }
 
 // Reset re-targets the tokenizer at a new input, allowing pooled reuse
-// of the struct. Previously emitted tokens stay valid: the attribute
-// arena is abandoned to them, never overwritten.
+// of the struct. Previously emitted tokens stay valid: Reset never
+// rewinds the attribute arena (only Recycle does).
 func (z *Tokenizer) Reset(input string) {
 	z.input = input
 	z.pos = 0
 	z.rawTag = ""
-	z.attrs = nil
 }
+
+// SetRecycling makes the tokenizer reuse its attribute memory: the
+// Attr slice of every token emitted from now on is valid only until
+// the next Recycle. Call it before the first Next.
+func (z *Tokenizer) SetRecycling() { z.attrs.SetRecycling() }
+
+// Recycle zeroes the attributes of every token emitted since the
+// previous Recycle and reuses their memory for the tokens that follow.
+// The caller must have dropped all of them. It panics unless
+// SetRecycling was called.
+func (z *Tokenizer) Recycle() { z.attrs.Recycle() }
 
 // Next returns the next token. At end of input it returns a token with
 // Type ErrorToken forever after.
@@ -228,7 +244,6 @@ func (z *Tokenizer) nextStartTag() Token {
 	}
 	name := internName(strings.ToLower(z.input[nameStart:i]))
 	tok := Token{Type: StartTagToken, Data: name}
-	arenaStart := len(z.attrs)
 	// Attribute loop.
 	for {
 		i = skipSpace(z.input, i)
@@ -251,16 +266,11 @@ func (z *Tokenizer) nextStartTag() Token {
 		}
 		var attr Attribute
 		attr, i = parseAttribute(z.input, i)
-		if attr.Key != "" && !hasAttr(z.attrs[arenaStart:], attr.Key) {
-			if z.attrs == nil {
-				z.attrs = make([]Attribute, 0, 32)
-			}
-			z.attrs = append(z.attrs, attr)
+		if attr.Key != "" && !hasAttr(z.attrs.Pending(), attr.Key) {
+			z.attrs.Append(attr)
 		}
 	}
-	if end := len(z.attrs); end > arenaStart {
-		tok.Attr = z.attrs[arenaStart:end:end]
-	}
+	tok.Attr = z.attrs.Run()
 	z.pos = i
 	if tok.Type == StartTagToken && IsRawText(name) {
 		z.rawTag = name

@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -353,4 +354,84 @@ func BenchmarkTokenizeBannerPage(b *testing.B) {
 		for z.Next().Type != ErrorToken {
 		}
 	}
+}
+
+// TestAttributesCrossChunkBoundary pins the attribute arena at its
+// chunk edges: a tag whose attributes start near the end of a chunk
+// moves to the next one mid-tag, and a tag with more attributes than
+// a chunk holds gets a chunk of its own. Duplicate keys are dropped
+// (first wins) on both sides of the move, and no later tag overwrites
+// an earlier tag's slice — in plain and in recycling mode, and again
+// after a Recycle.
+func TestAttributesCrossChunkBoundary(t *testing.T) {
+	var src strings.Builder
+	var want [][]Attribute
+	tag := func(prefix string, n, dupEvery int) {
+		var attrs []Attribute
+		src.WriteString("<div")
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("%s%d", prefix, i)
+			if dupEvery > 0 && i%dupEvery == dupEvery-1 {
+				key = fmt.Sprintf("%s%d", prefix, i-1) // repeat the previous key
+			} else {
+				attrs = append(attrs, Attribute{Key: key, Val: fmt.Sprint(i)})
+			}
+			fmt.Fprintf(&src, " %s=%d", key, i)
+		}
+		src.WriteString(">")
+		want = append(want, attrs)
+	}
+	tag("a", 40, 0)  // fills most of the first chunk
+	tag("b", 50, 7)  // crosses into the second chunk, with duplicates
+	tag("c", 150, 5) // more attributes than a chunk holds
+	tag("d", 3, 2)   // after the outsized tag
+	input := src.String()
+
+	check := func(t *testing.T, toks []Token) {
+		t.Helper()
+		if len(toks) != len(want) {
+			t.Fatalf("got %d tokens, want %d", len(toks), len(want))
+		}
+		for i, tok := range toks {
+			if len(tok.Attr) != len(want[i]) || cap(tok.Attr) != len(tok.Attr) {
+				t.Fatalf("tag %d: len %d cap %d, want len = cap = %d", i, len(tok.Attr), cap(tok.Attr), len(want[i]))
+			}
+			for j, a := range tok.Attr {
+				if a != want[i][j] {
+					t.Fatalf("tag %d attr %d = %v, want %v", i, j, a, want[i][j])
+				}
+			}
+		}
+	}
+	tokenize := func(z *Tokenizer) []Token {
+		z.Reset(input)
+		var toks []Token
+		for tok := z.Next(); tok.Type != ErrorToken; tok = z.Next() {
+			toks = append(toks, tok)
+		}
+		return toks
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		z := NewTokenizer("")
+		first := tokenize(z)
+		second := tokenize(z) // Reset must not rewind the arena
+		check(t, first)
+		check(t, second)
+	})
+	t.Run("recycling", func(t *testing.T) {
+		var z Tokenizer
+		z.SetRecycling()
+		first := tokenize(&z)
+		check(t, first)
+		z.Recycle()
+		for i, tok := range first {
+			for j, a := range tok.Attr {
+				if a != (Attribute{}) {
+					t.Fatalf("tag %d attr %d = %v after Recycle, want zeroed", i, j, a)
+				}
+			}
+		}
+		check(t, tokenize(&z))
+	})
 }

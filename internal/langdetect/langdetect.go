@@ -12,9 +12,8 @@ package langdetect
 
 import (
 	"sort"
-	"strings"
-	"unicode"
-	"unicode/utf8"
+
+	"cookiewalk/internal/wordscan"
 )
 
 // Result is a language detection outcome.
@@ -75,6 +74,7 @@ var stopwords = map[string][]string{
 
 // diacriticHints gives a bonus when a language-distinctive character
 // appears, disambiguating close relatives (sv/da, es/pt, de/nl).
+// All hints lie in U+0080..U+00FF (see latin1Seen).
 var diacriticHints = map[string][]rune{
 	"de": {'ß', 'ä', 'ö', 'ü'},
 	"sv": {'å', 'ä', 'ö'},
@@ -91,57 +91,29 @@ const diacriticBonus = 2.0
 // ("und", 0). Ties break deterministically in favour of the
 // alphabetically first language code.
 //
-// Scoring streams over the text in a single pass: each token is
-// lower-cased into a small reusable buffer and looked up once in a
-// combined word→languages bitmask table, instead of materializing the
-// full lowered text, the token slice, and one map probe per language
-// per token. The scores are identical to the per-language counting by
-// construction (a token contributes 1 to exactly the languages whose
-// stopword set contains it).
-func Detect(text string) Result {
-	var scores [16]float64 // indexed by langCodes position
-	tokens := 0
-	var buf [64]byte // stack token buffer (no closure, so it never escapes)
-	word := buf[:0]
-	for i := 0; i < len(text); {
-		// ASCII fast path: lower-case and classify bytewise; everything
-		// else goes through the same unicode calls as before. Lowering
-		// happens before the letter test, exactly like FieldsFunc over
-		// strings.ToLower(text) (lowering never changes letter-ness).
-		if c := text[i]; c < utf8.RuneSelf {
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c >= 'a' && c <= 'z' {
-				word = append(word, c)
-				i++
-				continue
-			}
-			i++
-		} else {
-			r, size := utf8.DecodeRuneInString(text[i:])
-			i += size
-			if lr := unicode.ToLower(r); unicode.IsLetter(lr) {
-				word = utf8.AppendRune(word, lr)
-				continue
-			}
-		}
-		if len(word) > 0 {
-			tokens++
-			addLangScores(&scores, word)
-			word = word[:0]
-		}
-	}
-	if len(word) > 0 {
-		tokens++
-		addLangScores(&scores, word)
-	}
-	if tokens < 3 {
+// Scoring streams over the text in a single pass (wordscan.Tally):
+// each token is looked up once in a combined word→languages bitmask
+// table, and a token contributes 1 to exactly the languages whose
+// stopword set contains it.
+func Detect(text string) Result { return detect(text) }
+
+// DetectBytes is Detect for text held in a byte slice, scanned in
+// place without a copy.
+func DetectBytes(text []byte) Result { return detect(text) }
+
+func detect[T wordscan.Text](text T) Result {
+	var counts [16]int // indexed by langCodes position
+	if wordscan.Tally(text, wordLangs, false, &counts) < 3 {
 		return Result{Lang: "und"}
 	}
+	var scores [16]float64
+	for i, n := range counts {
+		scores[i] = float64(n)
+	}
+	seen := latin1Seen(text)
 	for lang, runes := range diacriticHints {
 		for _, r := range runes {
-			if strings.ContainsRune(text, r) {
+			if seen[r-latin1Base] {
 				scores[langIndex[lang]] += diacriticBonus
 			}
 		}
@@ -161,16 +133,21 @@ func Detect(text string) Result {
 	return Result{Lang: best, Confidence: bestScore / total}
 }
 
-// addLangScores credits every language whose stopword set contains the
-// token. The map index converts without allocating.
-func addLangScores(scores *[16]float64, word []byte) {
-	mask := wordLangs[string(word)]
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			scores[i]++
+// latin1Base is the first rune of the two-byte UTF-8 range U+0080 to
+// U+00FF, where every diacritic hint lives.
+const latin1Base = 0x80
+
+// latin1Seen reports, for every rune in U+0080..U+00FF, whether its
+// UTF-8 encoding (0xC2 or 0xC3, then a continuation byte) occurs in
+// text: the byte-sequence match strings.ContainsRune makes, for all
+// hints in one pass.
+func latin1Seen[T wordscan.Text](text T) (seen [0x80]bool) {
+	for i := 0; i+1 < len(text); i++ {
+		if c, d := text[i], text[i+1]; (c == 0xC2 || c == 0xC3) && d >= 0x80 && d <= 0xBF {
+			seen[rune(c&0x1F)<<6|rune(d&0x3F)-latin1Base] = true
 		}
-		mask >>= 1
 	}
+	return seen
 }
 
 // langCodes is the sorted language list; langIndex its inverse; and

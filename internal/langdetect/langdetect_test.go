@@ -1,6 +1,10 @@
 package langdetect
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"testing/quick"
+)
 
 var samples = map[string]string{
 	"de": "Wir verwenden Cookies und ähnliche Technologien, um Ihnen die Inhalte auf unserer Website anzubieten. Sie können den Dienst ohne Werbung für 2,99 Euro im Monat nutzen oder der Verarbeitung Ihrer Daten zustimmen.",
@@ -71,5 +75,50 @@ func TestGermanVsDutchSeparation(t *testing.T) {
 	nl := Detect("De gebruikers kunnen zonder advertenties lezen, daarvoor betalen zij maandelijks een bedrag via onze website.")
 	if nl.Lang != "nl" {
 		t.Errorf("Dutch misdetected as %s", nl.Lang)
+	}
+}
+
+// TestDetectBytesMatchesDetect checks that scanning a byte slice in
+// place gives exactly the string result.
+func TestDetectBytesMatchesDetect(t *testing.T) {
+	texts := []string{"", "und", "Ä ö ü ß", "a\xc3\xa4 \xe2\xc3\xb6 und der die das"}
+	for _, s := range samples {
+		texts = append(texts, s, strings.ToUpper(s))
+	}
+	for _, s := range texts {
+		if got, want := DetectBytes([]byte(s)), Detect(s); got != want {
+			t.Errorf("DetectBytes(%.40q) = %+v, Detect = %+v", s, got, want)
+		}
+	}
+}
+
+// TestLatin1SeenMatchesContainsRune pins the one-pass diacritic scan to
+// the per-hint strings.ContainsRune it replaces, and every hint to the
+// rune range the scan covers.
+func TestLatin1SeenMatchesContainsRune(t *testing.T) {
+	for lang, runes := range diacriticHints {
+		for _, r := range runes {
+			if r < latin1Base || r > 0xFF {
+				t.Fatalf("%s hint %q (%U) lies outside U+0080..U+00FF", lang, r, r)
+			}
+		}
+	}
+	check := func(s string) bool {
+		seen := latin1Seen(s)
+		for r := rune(latin1Base); r <= 0xFF; r++ {
+			if seen[r-latin1Base] != strings.ContainsRune(s, r) {
+				t.Logf("%q: rune %q seen %v", s, r, seen[r-latin1Base])
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range []string{"", "ä", "\xe2\xc3\xa4", "\xc3", "Straße ¿qué? ñ", "\xc2\xa0\xc3\xbf"} {
+		if !check(s) {
+			t.Fatalf("mismatch on %q", s)
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -326,24 +326,13 @@ func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts 
 	}
 	var a core.Analysis
 	if c.NoAnalysisCache {
-		a = analyzePage(b.Compose(fr))
-		if cerr := b.ComposeErr(); cerr != nil {
-			obs.Err = cerr.Error()
-			return obs
-		}
+		a, err = analyze(b, fr)
 	} else {
-		var aerr error
-		a, aerr = analyses.getChecked(fr.Fingerprint, func() (core.Analysis, error) {
-			page := b.Compose(fr)
-			if cerr := b.ComposeErr(); cerr != nil {
-				return core.Analysis{}, cerr
-			}
-			return analyzePage(page), nil
-		})
-		if aerr != nil {
-			obs.Err = aerr.Error()
-			return obs
-		}
+		a, err = analyses.getChecked(fr.Fingerprint, func() (core.Analysis, error) { return analyze(b, fr) })
+	}
+	if err != nil {
+		obs.Err = err.Error()
+		return obs
 	}
 	obs.Fingerprint = fr.Fingerprint
 	obs.setAnalysis(a)
@@ -369,11 +358,25 @@ func (o *Observation) setAnalysis(a core.Analysis) {
 	o.ScrollLocked = a.ScrollLocked
 }
 
+// analyze composes fr as a scoped page and analyzes it. The page's
+// trees and text buffer are recycled when it returns; the analysis
+// never points into them (see analyzePage). A composition degraded by
+// transport failure is an error, never an analysis.
+func analyze(b *browser.Browser, fr browser.FetchResult) (a core.Analysis, err error) {
+	b.ComposeScoped(fr, func(page *browser.Page) {
+		if err = b.ComposeErr(); err == nil {
+			a = analyzePage(page)
+		}
+	})
+	return a, err
+}
+
 // analyzePage runs the pure post-fetch pipeline — detection,
 // classification, language and category measurement — on a composed
 // page. It depends on page content only (never on the vantage point,
 // visit label or worker), the invariant that makes its result safe to
-// memoize by content fingerprint.
+// memoize by content fingerprint. Nothing in the result points into
+// the page's nodes or text buffer: the memo outlives both.
 func analyzePage(page *browser.Page) core.Analysis {
 	det := core.Detect(page.Doc)
 	a := core.Analysis{
@@ -390,7 +393,7 @@ func analyzePage(page *browser.Page) core.Analysis {
 		ScrollLocked: page.ScrollLocked,
 	}
 	if body := page.Doc.Body(); body != nil {
-		a.Language = langdetect.Detect(body.Text()).Lang
+		a.Language = langdetect.DetectBytes(page.Text(body)).Lang
 		// Categorize from the content area only: headers repeat the
 		// site name (which FortiGuard would not score) and banners
 		// carry consent vocabulary, both of which pollute keyword
@@ -399,7 +402,7 @@ func analyzePage(page *browser.Page) core.Analysis {
 		if m := page.Doc.Query(mainSel); m != nil {
 			content = m
 		}
-		a.Category = categorize.Classify(content.Text())
+		a.Category = categorize.ClassifyBytes(page.Text(content))
 	}
 	return a
 }
