@@ -37,13 +37,30 @@ const (
 	regularUncachedByteBudget    = 3600
 )
 
+// Under -race the uncached visit counts more and varies from run to
+// run: the race runtime drops a share of sync.Pool puts on purpose, so
+// a visit outside a campaign sometimes builds a fresh session (measured
+// 53-55 allocs cookiewall, 43-44 regular). There the uncached counts
+// are held to the looser budgets that predate the scoped analysis
+// path, and bytes are not pinned; the cached budgets are unchanged.
+const (
+	raceCookiewallUncachedAllocBudget = 110
+	raceRegularUncachedAllocBudget    = 100
+)
+
 // TestVisitAllocBudget pins the allocation count of the single-visit
 // hot path in both memo states, and the bytes of an uncached visit, so
 // allocation regressions fail tier-1 instead of surfacing months later
 // in campaign wall-clock time.
 func TestVisitAllocBudget(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("alloc counting is exact; skip in -short/-race runs")
+	if testing.Short() {
+		t.Skip("alloc counting is exact; skip in -short runs")
+	}
+	var wallUncached, regularUncached float64 = cookiewallUncachedAllocBudget, regularUncachedAllocBudget
+	var wallBytes, regularBytes float64 = cookiewallUncachedByteBudget, regularUncachedByteBudget
+	if raceEnabled {
+		wallUncached, regularUncached = raceCookiewallUncachedAllocBudget, raceRegularUncachedAllocBudget
+		wallBytes, regularBytes = 0, 0
 	}
 	s := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
 	noMemo := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2, NoAnalysisCache: true})
@@ -72,8 +89,8 @@ func TestVisitAllocBudget(t *testing.T) {
 	}{
 		{"cookiewall-cached", wall, s.Crawler(), cookiewallCachedAllocBudget, 0},
 		{"regular-cached", regular, s.Crawler(), regularCachedAllocBudget, 0},
-		{"cookiewall-uncached", wall, noMemo.Crawler(), cookiewallUncachedAllocBudget, cookiewallUncachedByteBudget},
-		{"regular-uncached", regular, noMemo.Crawler(), regularUncachedAllocBudget, regularUncachedByteBudget},
+		{"cookiewall-uncached", wall, noMemo.Crawler(), wallUncached, wallBytes},
+		{"regular-uncached", regular, noMemo.Crawler(), regularUncached, regularBytes},
 	} {
 		c := tc.crawler
 		visit := func() {
