@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cookiewalk"
+	"cookiewalk/internal/campaign"
 	"cookiewalk/internal/core"
 	"cookiewalk/internal/measure"
 	"cookiewalk/internal/vantage"
@@ -199,11 +200,13 @@ func BenchmarkVisit(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := bc.crawler
-			c.Visit(context.Background(), vp, bc.domain, measure.VisitOpts{}) // warm render + analysis caches
+			// A worker's slot: the visits reuse one session, as in a campaign.
+			ctx := campaign.WithAffinity(context.Background(), new(campaign.Affinity))
+			c.Visit(ctx, vp, bc.domain, measure.VisitOpts{}) // warm render + analysis caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if o := c.Visit(context.Background(), vp, bc.domain, measure.VisitOpts{}); o.Err != "" {
+				if o := c.Visit(ctx, vp, bc.domain, measure.VisitOpts{}); o.Err != "" {
 					b.Fatal(o.Err)
 				}
 			}

@@ -35,7 +35,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 
 	"cookiewalk/internal/adblock"
 	"cookiewalk/internal/cookies"
@@ -107,6 +106,11 @@ type Browser struct {
 	// before FetchTopDomain returns (redirects re-parse into fresh
 	// URLs), so reusing it across visits is invisible.
 	topURL url.URL
+	// injectSrc and injectSel memoize the last data-cw-inject target
+	// selector (see injectTarget). The zero value is a valid entry:
+	// "" does not compile.
+	injectSrc string
+	injectSel *dom.Selector
 }
 
 // DefaultUserAgent imitates OpenWPM's instrumented Firefox.
@@ -125,8 +129,8 @@ func New(rt http.RoundTripper, vp vantage.VP) *Browser {
 
 // Reset reinitializes the session in place to the state New returns: a
 // fresh profile (the jar is emptied, not reallocated) and default
-// knobs. Pool-based crawls reuse the allocation across visits while
-// keeping the paper's fresh-profile-per-visit semantics.
+// knobs. A campaign worker reuses one session across its visits this
+// way while keeping the paper's fresh-profile-per-visit semantics.
 func (b *Browser) Reset(rt http.RoundTripper, vp vantage.VP) {
 	if b.Jar == nil {
 		b.Jar = cookies.NewJar()
@@ -620,37 +624,20 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 // scriptInjectSel finds declarative banner-loader scripts.
 var scriptInjectSel = dom.MustCompileSelector("script[src][data-cw-inject]")
 
-// injectTargetSels caches compiled data-cw-inject target selectors:
-// provider loaders use a fixed slot selector, so every cookiewall page
-// load was recompiling the same one. The cache is bounded because the
-// selector strings come from page content.
-var injectTargetSels struct {
-	mu sync.RWMutex
-	m  map[string]*dom.Selector
-}
-
-const maxInjectTargetSels = 1024
-
-// compileInjectTarget returns the compiled selector for src, or nil
-// when it does not compile (the directive is then skipped, exactly as
-// an inline compile error was).
-func compileInjectTarget(src string) *dom.Selector {
-	injectTargetSels.mu.RLock()
-	sel, ok := injectTargetSels.m[src]
-	injectTargetSels.mu.RUnlock()
-	if ok {
-		return sel
+// injectTarget returns the compiled data-cw-inject target selector for
+// src, or nil when it does not compile (the directive is then skipped).
+// It memoizes the last src on the session: provider loaders use one
+// fixed slot selector, so a session compiles it once instead of on
+// every cookiewall page load.
+func (b *Browser) injectTarget(src string) *dom.Selector {
+	if src != b.injectSrc {
+		// Clone: src is an attribute value aliasing the page, and the
+		// memo (and the compiled selector keeping its source) outlives
+		// the page.
+		b.injectSrc = strings.Clone(src)
+		b.injectSel, _ = dom.CompileSelector(b.injectSrc)
 	}
-	sel, _ = dom.CompileSelector(src) // nil on error, cached too
-	injectTargetSels.mu.Lock()
-	if injectTargetSels.m == nil || len(injectTargetSels.m) >= maxInjectTargetSels {
-		injectTargetSels.m = make(map[string]*dom.Selector, 8)
-	}
-	// Clone the key: src is an attribute value aliasing the source
-	// page, and a cached key must not pin whole documents in memory.
-	injectTargetSels.m[strings.Clone(src)] = sel
-	injectTargetSels.mu.Unlock()
-	return sel
+	return b.injectSel
 }
 
 // runScriptDirectives executes <script src data-cw-inject="#sel">: the
@@ -661,7 +648,7 @@ func (b *Browser) runScriptDirectives(page *Page) {
 	for _, script := range page.Doc.QueryAll(scriptInjectSel) {
 		src, _ := script.Attr("src")
 		targetSel, _ := script.Attr("data-cw-inject")
-		sel := compileInjectTarget(targetSel)
+		sel := b.injectTarget(targetSel)
 		if sel == nil {
 			continue
 		}

@@ -72,27 +72,14 @@ type Profile struct {
 	MaxPerRequest int
 }
 
+// faultKinds lists the fault kinds in Profile order.
+var faultKinds = [...]string{FaultTimeout, FaultReset, Fault503, FaultTruncate, FaultStall}
+
 // pick maps a per-mille roll to a fault kind ("" = clean) by walking
 // cumulative thresholds in declaration order.
 func (p Profile) pick(roll uint64) string {
-	cum := uint64(0)
-	for _, f := range []struct {
-		kind string
-		pm   int
-	}{
-		{FaultTimeout, p.Timeout},
-		{FaultReset, p.Reset},
-		{Fault503, p.Err503},
-		{FaultTruncate, p.Truncate},
-		{FaultStall, p.Stall},
-	} {
-		if f.pm <= 0 {
-			continue
-		}
-		cum += uint64(f.pm)
-		if roll < cum {
-			return f.kind
-		}
+	if i := xrand.PerMille(roll, p.Timeout, p.Reset, p.Err503, p.Truncate, p.Stall); i >= 0 {
+		return faultKinds[i]
 	}
 	return ""
 }

@@ -239,17 +239,19 @@ func withMeter(ctx context.Context, m *Meter) context.Context {
 // Affinity is a worker-affine scratch slot. Every worker goroutine of a
 // campaign carries its own Affinity in the visit context, so the visit
 // layer can keep expensive per-session state (a browser, its parser
-// arenas, its cookie-jar map) pinned to one worker instead of bouncing
-// it through a global sync.Pool on every visit. A worker runs its
-// visits strictly sequentially, so the slot needs no locking; it must
-// never be shared outside the visit that read it from its context.
+// arenas, its cookie-jar map) pinned to one worker for its lifetime. A
+// worker runs its visits strictly sequentially, so the slot needs no
+// locking; it must never be shared outside the visit that read it from
+// its context.
 //
 // The slot holds state only between visits of one worker: take the
 // value with Take at acquire time (leaving the slot empty guards
 // against nested acquires aliasing one session) and Put it back at
-// release time. Visits running outside a campaign (direct calls,
-// tests) see a nil *Affinity, on which both methods are safe no-ops —
-// callers fall back to their global pool.
+// release time. Visits running outside a campaign see a nil *Affinity,
+// on which both methods are safe no-ops: such a visit builds its state
+// afresh and drops it afterwards. Code that calls a visit function
+// directly (tests, benchmarks) can attach a slot with WithAffinity to
+// reuse state exactly as a worker does.
 type Affinity struct {
 	val any
 }
@@ -281,7 +283,9 @@ func AffinityFrom(ctx context.Context) *Affinity {
 	return a
 }
 
-func withAffinity(ctx context.Context, a *Affinity) context.Context {
+// WithAffinity returns ctx carrying the slot a — what every campaign
+// worker hands its visits.
+func WithAffinity(ctx context.Context, a *Affinity) context.Context {
 	return context.WithValue(ctx, affinityKey{}, a)
 }
 
@@ -400,41 +404,58 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	meter := &Meter{}
 	for shard := 0; shard < nShards; shard++ {
 		lo, hi := ShardRange(len(targets), nShards, shard)
-		if ctx.Err() != nil {
-			// Campaign cut short: account the remaining shards without
-			// spinning up their pools. Progress consumers still see each
-			// skipped shard so the final snapshot reaches Shards/Shards.
-			stats.add(ShardStats{Shard: shard, Targets: hi - lo, Canceled: int64(hi - lo)})
-		} else {
-			preR, preT, preD := meter.counts()
-			sh := runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, total, meter, ck, replay)
-			postR, postT, postD := meter.counts()
-			sh.Retries = postR - preR
-			sh.BreakerTrips = postT - preT
-			sh.BreakerDenials = postD - preD
-			stats.add(sh)
-		}
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(Progress{
-				Label: cfg.Label, Shard: shard + 1, Shards: nShards,
-				Done: stats.Done, Total: total, Errors: stats.Errors,
-				Replayed: stats.Replayed,
-				Retries:  stats.Retries, BreakerTrips: stats.BreakerTrips,
-				BreakerDenials: stats.BreakerDenials,
-			})
-		}
+		stats.step(cfg, shard, nShards, total, meter, func() ShardStats {
+			if ctx.Err() != nil {
+				// Campaign cut short: account the remaining shards
+				// without spinning up their pools. Progress consumers
+				// still see each skipped shard so the final snapshot
+				// reaches Shards/Shards.
+				return ShardStats{Shard: shard, Targets: hi - lo, Canceled: int64(hi - lo)}
+			}
+			return runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, total, meter, ck, replay)
+		})
 	}
-	if stats.Canceled > 0 || ctx.Err() != nil {
+	return stats.finish(ctx, ck)
+}
+
+// step is one shard of a run or RunRange call: it runs the shard,
+// attributes the resilience events its visits reported to the meter
+// (shards run strictly one after another, so the meter's delta across
+// the shard is exactly the shard's), adds the shard to s and reports
+// the shard-boundary Progress snapshot.
+func (s *Stats) step(cfg Config, shard, shards int, total int64, meter *Meter, do func() ShardStats) {
+	preR, preT, preD := meter.counts()
+	sh := do()
+	postR, postT, postD := meter.counts()
+	sh.Retries, sh.BreakerTrips, sh.BreakerDenials = postR-preR, postT-preT, postD-preD
+	s.add(sh)
+	if cfg.OnProgress != nil {
+		cfg.OnProgress(Progress{
+			Label: cfg.Label, Shard: shard + 1, Shards: shards,
+			Done: s.Done, Total: total, Errors: s.Errors,
+			Replayed: s.Replayed,
+			Retries:  s.Retries, BreakerTrips: s.BreakerTrips,
+			BreakerDenials: s.BreakerDenials,
+		})
+	}
+}
+
+// finish returns the campaign's outcome once every shard is accounted:
+// the cancellation cause when targets went unvisited (or ctx is done),
+// else the first checkpoint write failure, else nil. s is valid either
+// way.
+func (s Stats) finish(ctx context.Context, ck *checkpointState) (Stats, error) {
+	if s.Canceled > 0 || ctx.Err() != nil {
 		if err := context.Cause(ctx); err != nil {
-			return stats, err
+			return s, err
 		}
 	}
 	if ck != nil {
 		if err := ck.firstErr(); err != nil {
-			return stats, err
+			return s, err
 		}
 	}
-	return stats, nil
+	return s, nil
 }
 
 // shardResult pairs a Result with the engine-internal markers:
@@ -512,7 +533,7 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 			// One context wrap per worker goroutine, not per visit: the
 			// meter and the worker-affine scratch slot ride to the visit
 			// layer as context values.
-			vctx := withAffinity(withMeter(ctx, meter), &Affinity{})
+			vctx := WithAffinity(withMeter(ctx, meter), &Affinity{})
 			var batch []shardResult[R]
 			flush := func() {
 				if len(batch) > 0 {

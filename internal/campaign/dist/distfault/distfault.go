@@ -89,21 +89,14 @@ func (t *Transport) base() http.RoundTripper {
 	return http.DefaultTransport
 }
 
+// faultKinds lists the fault kinds in Profile order.
+var faultKinds = [...]string{faultTornPut, faultStallHB, faultDrop, faultShortRead, fault503, faultDup}
+
 // pick maps one hash roll to a fault kind via cumulative per-mille
-// thresholds.
+// thresholds; a rate <= 0 never fires.
 func (p Profile) pick(roll uint64) string {
-	cum := uint64(0)
-	for _, f := range []struct {
-		kind string
-		rate int
-	}{
-		{faultTornPut, p.TornPut}, {faultStallHB, p.StallHB}, {faultDrop, p.Drop},
-		{faultShortRead, p.ShortRead}, {fault503, p.Err503}, {faultDup, p.Dup},
-	} {
-		cum += uint64(f.rate)
-		if roll < cum {
-			return f.kind
-		}
+	if i := xrand.PerMille(roll, p.TornPut, p.StallHB, p.Drop, p.ShortRead, p.Err503, p.Dup); i >= 0 {
+		return faultKinds[i]
 	}
 	return faultNone
 }

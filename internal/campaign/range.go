@@ -63,26 +63,8 @@ func RunRange[T, R any](ctx context.Context, cfg Config, targets []T, shard, sha
 	}
 	stats := Stats{Targets: hi - lo}
 	meter := &Meter{}
-	sh := runShard(ctx, cfg, targets, visit, sink, shard, shards, lo, hi, &stats, int64(hi-lo), meter, ck, nil)
-	sh.Retries, sh.BreakerTrips, sh.BreakerDenials = meter.counts()
-	stats.add(sh)
-	if cfg.OnProgress != nil {
-		cfg.OnProgress(Progress{
-			Label: cfg.Label, Shard: shard + 1, Shards: shards,
-			Done: stats.Done, Total: int64(hi - lo), Errors: stats.Errors,
-			Retries: stats.Retries, BreakerTrips: stats.BreakerTrips,
-			BreakerDenials: stats.BreakerDenials,
-		})
-	}
-	if stats.Canceled > 0 || ctx.Err() != nil {
-		if err := context.Cause(ctx); err != nil {
-			return stats, err
-		}
-	}
-	if ck != nil {
-		if err := ck.firstErr(); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
+	stats.step(cfg, shard, shards, int64(hi-lo), meter, func() ShardStats {
+		return runShard(ctx, cfg, targets, visit, sink, shard, shards, lo, hi, &stats, int64(hi-lo), meter, ck, nil)
+	})
+	return stats.finish(ctx, ck)
 }

@@ -56,10 +56,11 @@ type Config struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// ErrCircuitOpen is returned (wrapped, with the host name) by Acquire
-// while a host's breaker is open. It is definitive for the current
-// request: retrying immediately cannot help, the visit should fail
-// fast and be accounted as a visit error.
+// circuitOpenError is returned, naming the host, by Admit (and so by
+// Acquire) while a host's breaker is open; IsCircuitOpen recognizes
+// it. It is definitive for the current request: retrying immediately
+// cannot help, the visit should fail fast and be accounted as a visit
+// error.
 type circuitOpenError struct{ host string }
 
 func (e *circuitOpenError) Error() string {
@@ -118,7 +119,7 @@ type Gate struct {
 	hosts map[string]*hostState
 
 	trips   int64 // breaker open transitions (under mu)
-	denials int64 // Acquire calls refused by an open breaker (under mu)
+	denials int64 // Admit calls refused by an open breaker (under mu)
 }
 
 // New returns a Gate for cfg. A nil return means cfg enables nothing —

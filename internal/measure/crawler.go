@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"cookiewalk/internal/adblock"
@@ -159,60 +158,29 @@ func runExperimentCampaign[R any](ctx context.Context, c *Crawler, label string,
 	return run(ctx, cfg, targets, visit, sink)
 }
 
-// browserPool recycles emulated-browser sessions — and their cookie-jar
-// maps, request scratch and parser arenas — for visits running OUTSIDE
-// a campaign worker (direct Visit calls, tests). Campaign visits use
-// the worker's Affinity slot instead: each worker goroutine keeps one
-// session pinned for its whole lifetime, so session state never
-// bounces between cores through a global pool on the crawl hot path.
-// Every acquire resets the session to a fresh profile, so reuse is
-// invisible to the measurement either way.
-var browserPool = sync.Pool{New: func() any { return new(browser.Browser) }}
-
-// acquireBrowser returns a fresh-profile session for one visit — the
-// campaign worker's affine session when ctx carries one, the global
-// pool's otherwise. Release it with releaseBrowser (passing the same
-// affinity slot) when no page state is needed anymore.
-func (c *Crawler) acquireBrowser(ctx context.Context, vp vantage.VP) (*browser.Browser, *campaign.Affinity) {
+// session returns a fresh-profile browser for one visit, armed with
+// the crawler's resilience policy (visit deadline, retries, host gate,
+// and the campaign meter carried by ctx), plus the worker's Affinity
+// slot and a cancel that is non-nil exactly when a visit timeout was
+// armed. Call cancel and aff.Put(b) when the visit is done.
+//
+// A campaign worker carries an Affinity slot in ctx and keeps one
+// session — parser arenas and cookie-jar map included — pinned for its
+// whole lifetime; a visit without a slot builds a new session, and
+// aff.Put on the nil slot drops it. Every session is reset to a fresh
+// profile, so reuse is invisible to the measurement. With no policy
+// configured the zero-Resilience browser pays nothing.
+func (c *Crawler) session(ctx context.Context, vp vantage.VP) (*browser.Browser, *campaign.Affinity, context.CancelFunc) {
 	aff := campaign.AffinityFrom(ctx)
-	var b *browser.Browser
-	if aff != nil {
-		// Take empties the slot, so a (hypothetical) nested acquire on
-		// the same worker falls through to a fresh session instead of
-		// aliasing this one.
-		b, _ = aff.Take().(*browser.Browser)
-		if b == nil {
-			b = new(browser.Browser)
-		}
-	} else {
-		b = browserPool.Get().(*browser.Browser)
+	// Take empties the slot, so a (hypothetical) nested session on the
+	// same worker gets a new browser instead of aliasing this one.
+	b, _ := aff.Take().(*browser.Browser)
+	if b == nil {
+		b = new(browser.Browser)
 	}
 	b.Reset(c.Transport, vp)
-	return b, aff
-}
-
-func releaseBrowser(b *browser.Browser, aff *campaign.Affinity) {
-	if aff != nil {
-		aff.Put(b)
-		return
-	}
-	browserPool.Put(b)
-}
-
-// session returns a fresh-profile browser armed with the crawler's
-// resilience policy (visit deadline, retries, host gate, and the
-// campaign meter carried by ctx), plus a cancel that is non-nil
-// exactly when a visit timeout was armed — call it (and
-// releaseBrowser) when the visit is done. With no policy configured
-// it degenerates to acquireBrowser: the zero-Resilience browser pays
-// nothing.
-func (c *Crawler) session(ctx context.Context, vp vantage.VP) (*browser.Browser, *campaign.Affinity, context.CancelFunc) {
-	b, aff := c.acquireBrowser(ctx, vp)
 	var cancel context.CancelFunc
 	if c.VisitTimeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		var tctx context.Context
 		tctx, cancel = context.WithTimeout(ctx, c.VisitTimeout)
 		b.Resilience.Ctx = tctx
@@ -222,10 +190,8 @@ func (c *Crawler) session(ctx context.Context, vp vantage.VP) (*browser.Browser,
 		b.Resilience.Backoff = c.RetryBackoff
 		b.Resilience.Seed = c.RetrySeed
 		b.Resilience.Gate = c.Gate
-		if ctx != nil {
-			if m := campaign.MeterFrom(ctx); m != nil {
-				b.Resilience.Meter = m
-			}
+		if m := campaign.MeterFrom(ctx); m != nil {
+			b.Resilience.Meter = m
 		}
 	}
 	return b, aff, cancel
@@ -313,7 +279,7 @@ type VisitOpts struct {
 func (c *Crawler) Visit(ctx context.Context, vp vantage.VP, domain string, opts VisitOpts) Observation {
 	obs := Observation{Domain: domain, VP: vp.Name}
 	b, aff, cancel := c.session(ctx, vp)
-	defer releaseBrowser(b, aff)
+	defer aff.Put(b)
 	if cancel != nil {
 		defer cancel()
 	}
@@ -525,7 +491,7 @@ func (c *Crawler) MeasureCookies(ctx context.Context, vp vantage.VP, label strin
 
 func (c *Crawler) cookieVisit(ctx context.Context, vp vantage.VP, domain string, rep int, mode InteractionMode, smpToken string) (cookies.Tally, error) {
 	b, aff, cancel := c.session(ctx, vp)
-	defer releaseBrowser(b, aff)
+	defer aff.Put(b)
 	if cancel != nil {
 		defer cancel()
 	}

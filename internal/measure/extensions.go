@@ -41,7 +41,7 @@ func (c *Crawler) RunAblation(ctx context.Context, vp vantage.VP, wallDomains []
 	_, err := runExperimentCampaign(ctx, c, LabelAblation, ablationCodec{}, wallDomains,
 		func(ctx context.Context, domain string) (ablationCounts, error) {
 			b, aff, cancel := c.session(ctx, vp)
-			defer releaseBrowser(b, aff)
+			defer aff.Put(b)
 			if cancel != nil {
 				defer cancel()
 			}
@@ -112,7 +112,7 @@ func (c *Crawler) RunAutoReject(ctx context.Context, vp vantage.VP, domains []st
 	_, err := runExperimentCampaign(ctx, c, LabelAutoReject, autoRejectCodec{}, domains,
 		func(ctx context.Context, domain string) (rejectOutcome, error) {
 			b, aff, cancel := c.session(ctx, vp)
-			defer releaseBrowser(b, aff)
+			defer aff.Put(b)
 			if cancel != nil {
 				defer cancel()
 			}
@@ -180,7 +180,7 @@ func (c *Crawler) RunBotCheck(ctx context.Context, vp vantage.VP, domains []stri
 		func(ctx context.Context, domain string) (botPair, error) {
 			showsBanner := func(ua string) bool {
 				b, aff, cancel := c.session(ctx, vp)
-				defer releaseBrowser(b, aff)
+				defer aff.Put(b)
 				if cancel != nil {
 					defer cancel()
 				}
@@ -242,7 +242,7 @@ func (c *Crawler) RunRevocation(ctx context.Context, vp vantage.VP, domains []st
 	_, err := runExperimentCampaign(ctx, c, LabelRevocation, revocationCodec{}, domains,
 		func(ctx context.Context, domain string) (revOutcome, error) {
 			b, aff, cancel := c.session(ctx, vp)
-			defer releaseBrowser(b, aff)
+			defer aff.Put(b)
 			if cancel != nil {
 				defer cancel()
 			}

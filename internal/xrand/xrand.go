@@ -192,3 +192,22 @@ func JitterDuration[D ~int64](seed, call uint64, attempt int, base D) D {
 	h := Mix64(Mix64(seed, call), uint64(attempt))
 	return half + D(h%uint64(half+1))
 }
+
+// PerMille maps a roll in [0, 1000) to one of several per-mille rates
+// by walking their cumulative thresholds in order: it returns the index
+// of the first rate whose threshold exceeds roll, or -1 when roll lands
+// past them all. A rate <= 0 never fires and takes no share. The fault
+// injectors use it to pick at most one fault per request from a roll.
+func PerMille(roll uint64, rates ...int) int {
+	cum := uint64(0)
+	for i, r := range rates {
+		if r <= 0 {
+			continue
+		}
+		cum += uint64(r)
+		if roll < cum {
+			return i
+		}
+	}
+	return -1
+}

@@ -248,3 +248,32 @@ func TestQuickSubSeedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPerMille(t *testing.T) {
+	for _, tc := range []struct {
+		roll  uint64
+		rates []int
+		want  int
+	}{
+		{0, nil, -1},
+		{0, []int{0, 0}, -1},
+		{0, []int{10, 20}, 0},
+		{9, []int{10, 20}, 0},
+		{10, []int{10, 20}, 1},
+		{29, []int{10, 20}, 1},
+		{30, []int{10, 20}, -1},
+		{999, []int{1000}, 0},
+		// A zero or negative rate never fires and takes no share.
+		{0, []int{0, 5}, 1},
+		{0, []int{-1, 5}, 1},
+		{5, []int{-1, 5}, -1},
+		{3, []int{5, -100, 5}, 0},
+		{7, []int{5, -100, 5}, 2},
+		{999, []int{-1}, -1},
+		{0, []int{-1}, -1},
+	} {
+		if got := PerMille(tc.roll, tc.rates...); got != tc.want {
+			t.Errorf("PerMille(%d, %v) = %d, want %d", tc.roll, tc.rates, got, tc.want)
+		}
+	}
+}

@@ -2,7 +2,6 @@
 
 package cookiewalk_test
 
-// raceEnabled reports a -race build. The race runtime drops a share of
-// sync.Pool puts on purpose, so a visit outside a campaign allocates
-// more under it than the tight uncached budgets allow.
+// raceEnabled reports a -race build. The race runtime allocates more
+// bytes per visit than the tight uncached byte budgets allow.
 const raceEnabled = true
