@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"cookiewalk"
 	"cookiewalk/internal/campaign"
@@ -18,6 +19,11 @@ import (
 //   - cached: the steady-state landscape visit — transport dispatch and
 //     a fingerprint lookup, NO parse/detect/classify. Measured 1 alloc
 //     (both kinds) since the scratch-request/adopted-header path.
+//   - resilient-cached: the cached visit with the resilience overlays
+//     trendd rounds set (30 s visit deadline, 2 retries, a breaker at
+//     5): the deadline context, the retry loop and the host gate on
+//     every request. Measured 6 allocs since every request, armed or
+//     not, fills the session's scratch request.
 //   - uncached: the full pipeline a memo miss runs — scoped compose,
 //     parse, detection, language, category. Measured 45 allocs and
 //     5.7 KB (cookiewall) / 39 allocs and 2.8 KB (regular) per visit
@@ -31,6 +37,7 @@ import (
 const (
 	cookiewallCachedAllocBudget   = 6
 	regularCachedAllocBudget      = 6
+	resilientCachedAllocBudget    = 8
 	cookiewallUncachedAllocBudget = 56
 	regularUncachedAllocBudget    = 49
 
@@ -46,7 +53,8 @@ const (
 // The measured visits carry a campaign.Affinity slot, as every campaign
 // worker's visits do, so they reuse one session (parser arenas, cookie
 // jar, request scratch). The alloc budgets hold in -race builds too
-// (measured there: 1 cached, 48-49 cookiewall / 39 regular uncached).
+// (measured there: 1 cached, 6 resilient cached, 48-49 cookiewall / 39
+// regular uncached).
 // The byte budgets are skipped under -race: the race runtime allocates
 // more bytes per uncached cookiewall visit (measured 26-32 KB).
 func TestVisitAllocBudget(t *testing.T) {
@@ -59,6 +67,8 @@ func TestVisitAllocBudget(t *testing.T) {
 	}
 	s := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2})
 	noMemo := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2, NoAnalysisCache: true})
+	resilient := cookiewalk.New(cookiewalk.Config{Seed: 42, Scale: 0.02, Reps: 2,
+		VisitTimeout: 30 * time.Second, VisitRetries: 2, BreakerThreshold: 5})
 	vp, ok := vantage.ByName("Germany")
 	if !ok {
 		t.Fatal("no Germany VP")
@@ -84,6 +94,7 @@ func TestVisitAllocBudget(t *testing.T) {
 	}{
 		{"cookiewall-cached", wall, s.Crawler(), cookiewallCachedAllocBudget, 0},
 		{"regular-cached", regular, s.Crawler(), regularCachedAllocBudget, 0},
+		{"resilient-cached", wall, resilient.Crawler(), resilientCachedAllocBudget, 0},
 		{"cookiewall-uncached", wall, noMemo.Crawler(), cookiewallUncachedAllocBudget, wallBytes},
 		{"regular-uncached", regular, noMemo.Crawler(), regularUncachedAllocBudget, regularBytes},
 	} {

@@ -221,21 +221,35 @@ func main() {
 }
 
 // printProgress is the serial (-j 1) -progress sink: a stderr status
-// line per campaign snapshot, terminated when the campaign completes.
-// On a resumed crawl it splits the visit counter into journal replays
-// and fresh visits, so the operator sees how much work the checkpoint
-// saved as it streams by.
+// line per campaign snapshot, rewritten in place and terminated when
+// the campaign completes.
 func printProgress(p cookiewalk.Progress) {
-	if p.Replayed > 0 {
-		fmt.Fprintf(os.Stderr, "\r%-24s shard %d/%d  %d/%d visits (%d replayed + %d fresh)  %d errors%s",
-			p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Replayed, p.Done-p.Replayed, p.Errors, resilienceSuffix(p))
-	} else {
-		fmt.Fprintf(os.Stderr, "\r%-24s shard %d/%d  %d/%d visits  %d errors%s",
-			p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Errors, resilienceSuffix(p))
-	}
+	end := ""
 	if p.Done >= p.Total {
-		fmt.Fprintln(os.Stderr)
+		end = "\n"
 	}
+	fmt.Fprintf(os.Stderr, "\r%s%s", progressLine(p), end)
+}
+
+// printProgressLines is the concurrent (-j > 1) -progress sink:
+// snapshots from interleaved campaigns each get their own line,
+// multiplexed by the campaign label's experiment-name prefix
+// ("landscape Germany", "fig4 cookiewall", "bypass", ...).
+func printProgressLines(p cookiewalk.Progress) {
+	fmt.Fprintln(os.Stderr, progressLine(p))
+}
+
+// progressLine renders one campaign snapshot. On a resumed crawl it
+// splits the visit counter into journal replays and fresh visits, so
+// the operator sees how much work the checkpoint saved as it streams
+// by.
+func progressLine(p cookiewalk.Progress) string {
+	visits := fmt.Sprintf("%d/%d visits", p.Done, p.Total)
+	if p.Replayed > 0 {
+		visits += fmt.Sprintf(" (%d replayed + %d fresh)", p.Replayed, p.Fresh())
+	}
+	return fmt.Sprintf("%-24s shard %d/%d  %s  %d errors%s",
+		p.Label+":", p.Shard, p.Shards, visits, p.Errors, resilienceSuffix(p))
 }
 
 // resilienceSuffix renders the retry/breaker counters, empty when the
@@ -250,20 +264,6 @@ func resilienceSuffix(p cookiewalk.Progress) string {
 		s += fmt.Sprintf("  breaker: %d trips, %d denials", p.BreakerTrips, p.BreakerDenials)
 	}
 	return s
-}
-
-// printProgressLines is the concurrent (-j > 1) -progress sink:
-// snapshots from interleaved campaigns each get their own line,
-// multiplexed by the campaign label's experiment-name prefix
-// ("landscape Germany", "fig4 cookiewall", "bypass", ...).
-func printProgressLines(p cookiewalk.Progress) {
-	if p.Replayed > 0 {
-		fmt.Fprintf(os.Stderr, "%-24s shard %d/%d  %d/%d visits (%d replayed + %d fresh)  %d errors%s\n",
-			p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Replayed, p.Done-p.Replayed, p.Errors, resilienceSuffix(p))
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%-24s shard %d/%d  %d/%d visits  %d errors%s\n",
-		p.Label+":", p.Shard, p.Shards, p.Done, p.Total, p.Errors, resilienceSuffix(p))
 }
 
 // printShardAccounting dumps the per-shard visit/error counters of the

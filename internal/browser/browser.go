@@ -29,6 +29,7 @@
 package browser
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,8 +72,8 @@ type Browser struct {
 	// MaxRedirects bounds redirect chains (default 5).
 	MaxRedirects int
 	// Resilience configures deadlines, retries and the per-host gate
-	// (see resilience.go). The zero value keeps the historical
-	// fail-on-first-error behavior.
+	// (see resilience.go). The zero value makes every request a single
+	// attempt that fails on its first error.
 	Resilience Resilience
 
 	// rtCalls numbers logical requests so retry jitter decorrelates
@@ -96,8 +97,8 @@ type Browser struct {
 	scopedPage Page
 	// inScope is set while a ComposeScoped callback runs.
 	inScope bool
-	// scratch is the reusable request/header state behind the
-	// zero-resilience in-process fast path; see scratchRequest.
+	// scratch is the request state request fills for every request on
+	// the in-process RoundTripBody seam, reused across the session.
 	scratch reqScratch
 	// cookieBuf is the reusable Cookie-header assembly buffer.
 	cookieBuf []byte
@@ -238,16 +239,11 @@ type FetchResult struct {
 // FetchTop performs only the top-level document fetch of Open — no
 // parsing, no frames, no subresources.
 func (b *Browser) FetchTop(rawurl string) (FetchResult, error) {
-	resp, finalURL, err := b.fetch(http.MethodGet, rawurl, nil, b.MaxRedirects, maxPageBody)
+	u, err := url.Parse(rawurl)
 	if err != nil {
-		return FetchResult{}, err
+		return FetchResult{}, fmt.Errorf("browser: bad url %q: %w", rawurl, err)
 	}
-	return FetchResult{
-		URL:         finalURL,
-		Status:      resp.status,
-		Body:        resp.body,
-		Fingerprint: b.pageFingerprint(resp, finalURL),
-	}, nil
+	return b.fetchTop(u)
 }
 
 // FetchTopDomain is FetchTop for the canonical crawl entry point
@@ -259,7 +255,13 @@ func (b *Browser) FetchTop(rawurl string) (FetchResult, error) {
 // session must use FetchTop.
 func (b *Browser) FetchTopDomain(domain string) (FetchResult, error) {
 	b.topURL = url.URL{Scheme: "https", Host: domain, Path: "/"}
-	resp, finalURL, err := b.fetchURL(http.MethodGet, &b.topURL, nil, b.MaxRedirects, maxPageBody)
+	return b.fetchTop(&b.topURL)
+}
+
+// fetchTop is the top-level document fetch behind FetchTop and
+// FetchTopDomain.
+func (b *Browser) fetchTop(u *url.URL) (FetchResult, error) {
+	resp, finalURL, err := b.fetch(http.MethodGet, u, nil, b.MaxRedirects, maxPageBody)
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -418,55 +420,32 @@ type response struct {
 // bypass (top-level documents are never blocked — blockers filter
 // subresources), and redirect following. The body is read fully,
 // truncated at limit bytes.
-func (b *Browser) fetch(method, rawurl string, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
-	u, err := url.Parse(rawurl)
-	if err != nil {
-		return response{}, nil, fmt.Errorf("browser: bad url %q: %w", rawurl, err)
-	}
-	return b.fetchParsed(method, u, form, rawurl, redirectsLeft, limit)
-}
-
-// fetchURL is fetch for an already-parsed URL: the hot crawl paths
-// build their URL without a string round trip, so the raw form — used
-// only in error text — is derived lazily on the (cold) paths that need
-// it.
-func (b *Browser) fetchURL(method string, u *url.URL, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
-	return b.fetchParsed(method, u, form, "", redirectsLeft, limit)
-}
-
-// fetchParsed is the shared redirect loop. cur is the current URL's raw
-// string for error text; "" means "derive from u when needed".
-func (b *Browser) fetchParsed(method string, u *url.URL, form url.Values, cur string, redirectsLeft, limit int) (response, *url.URL, error) {
+func (b *Browser) fetch(method string, u *url.URL, form url.Values, redirectsLeft, limit int) (response, *url.URL, error) {
 	for {
-		resp, err := b.doRequest(method, u, form, cur, limit)
+		resp, err := b.doRequest(method, u, form, limit)
 		if err != nil {
 			return response{}, nil, err
 		}
 		b.Jar.SetFromHeaders(u.Hostname(), resp.header.Values("Set-Cookie"))
-
-		if isRedirect(resp.status) && redirectsLeft > 0 {
-			loc := resp.header.Get("Location")
-			if loc == "" {
-				if cur == "" {
-					cur = u.String()
-				}
-				return response{}, nil, fmt.Errorf("browser: redirect without location from %s", cur)
-			}
-			next, err := u.Parse(loc)
-			if err != nil {
-				return response{}, nil, fmt.Errorf("browser: bad redirect %q: %w", loc, err)
-			}
-			// 303 (and web convention for 301/302) switches to GET.
-			method, u, form, cur = http.MethodGet, next, nil, next.String()
-			redirectsLeft--
-			continue
+		if !isRedirect(resp.status) || redirectsLeft <= 0 {
+			return resp, u, nil
 		}
-		return resp, u, nil
+		loc := resp.header.Get("Location")
+		if loc == "" {
+			return response{}, nil, fmt.Errorf("browser: redirect without location from %s", u)
+		}
+		next, err := u.Parse(loc)
+		if err != nil {
+			return response{}, nil, fmt.Errorf("browser: bad redirect %q: %w", loc, err)
+		}
+		// 303 (and web convention for 301/302) switches to GET.
+		method, u, form = http.MethodGet, next, nil
+		redirectsLeft--
 	}
 }
 
 // roundTrip dispatches one request, preferring the zero-copy body path.
-func (b *Browser) roundTrip(req *http.Request, rawurl string, limit int) (response, error) {
+func (b *Browser) roundTrip(req *http.Request, limit int) (response, error) {
 	if bt, ok := b.Transport.(bodyTransport); ok {
 		status, header, body, fp, err := bt.RoundTripBody(req)
 		if err != nil {
@@ -487,19 +466,16 @@ func (b *Browser) roundTrip(req *http.Request, rawurl string, limit int) (respon
 	defer resp.Body.Close()
 	bodyBytes, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)))
 	if err != nil {
-		if rawurl == "" {
-			rawurl = req.URL.String()
-		}
-		return response{}, fmt.Errorf("browser: read %s: %w", rawurl, err)
+		return response{}, fmt.Errorf("browser: read %s: %w", req.URL, err)
 	}
 	return response{status: resp.StatusCode, header: resp.Header, body: string(bodyBytes)}, nil
 }
 
-// reqScratch is the reusable request state behind scratchRequest: one
-// http.Request, one header map, and fixed single-value slices for each
-// header the browser sets — so a steady-state request on the fast path
-// allocates nothing but the Cookie string (and that only when the jar
-// has cookies to send).
+// reqScratch is the state of one request: the http.Request, its header
+// map, a fixed single-value slice for each header the browser sets and
+// the form body's reader. A steady-state request on the session's
+// scratch allocates nothing but the Cookie string (and that only when
+// the jar has cookies to send).
 type reqScratch struct {
 	req    http.Request
 	hdr    http.Header
@@ -507,79 +483,68 @@ type reqScratch struct {
 	geo    [1]string
 	visit  [1]string
 	cookie [1]string
+	ctype  [1]string
+	body   strings.Reader
 }
 
-// scratchRequest assembles the session's reusable request in place.
-// Callers must only use it on the synchronous in-process fast path
-// (bodyTransport) with no form body and no per-request context: such a
-// transport never retains the request past the call, so reusing the
-// struct and header map across requests is invisible. The header keys
-// are written pre-canonicalized (http.Header is a plain map), so farm
-// lookups via Header.Get match.
-func (b *Browser) scratchRequest(method string, u *url.URL) *http.Request {
+// request builds the request for one attempt. On the in-process
+// RoundTripBody seam, which serves synchronously and never keeps the
+// request, it fills the session's scratch, so reusing the struct,
+// header map and body reader across requests is invisible. Any other
+// transport may keep the request and gets fresh state per call. A form
+// makes the request a urlencoded POST body; ctx, when non-nil, rides
+// on a shallow WithContext copy, so the scratch never holds one. The
+// header keys are written pre-canonicalized (http.Header is a plain
+// map), so lookups via Header.Get match.
+func (b *Browser) request(method string, u *url.URL, form url.Values, ctx context.Context) *http.Request {
 	s := &b.scratch
+	if _, ok := b.Transport.(bodyTransport); !ok {
+		s = new(reqScratch)
+	}
 	if s.hdr == nil {
 		s.hdr = http.Header{
 			"User-Agent":      s.ua[:],
 			vantage.GeoHeader: s.geo[:],
 		}
-		s.req = http.Request{
-			Proto:      "HTTP/1.1",
-			ProtoMajor: 1,
-			ProtoMinor: 1,
-			Header:     s.hdr,
-		}
 	}
-	s.ua[0] = b.UserAgent
-	s.geo[0] = b.VP.Name
-	if b.Visit != "" {
-		s.visit[0] = b.Visit
-		s.hdr[vantage.VisitHeader] = s.visit[:]
-	} else {
-		delete(s.hdr, vantage.VisitHeader)
-	}
-	b.cookieBuf = b.Jar.AppendCookieHeader(b.cookieBuf[:0], u.Hostname(), u.Path, u.Scheme == "https")
-	if len(b.cookieBuf) > 0 {
-		s.cookie[0] = string(b.cookieBuf)
-		s.hdr["Cookie"] = s.cookie[:]
-	} else {
-		delete(s.hdr, "Cookie")
-	}
-	s.req.Method = method
-	s.req.URL = u
-	s.req.Host = u.Host
-	return &s.req
-}
-
-// newRequest assembles the request by hand: the URL is already parsed,
-// and the Cookie header is built in a single pass instead of one
-// AddCookie round per cookie.
-func (b *Browser) newRequest(method string, u *url.URL, form url.Values) *http.Request {
-	req := &http.Request{
+	s.req = http.Request{
 		Method:     method,
 		URL:        u,
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     make(http.Header, 5),
+		Header:     s.hdr,
 		Host:       u.Host,
 	}
+	s.ua[0] = b.UserAgent
+	s.geo[0] = b.VP.Name
+	setHeader(s.hdr, vantage.VisitHeader, s.visit[:], b.Visit)
+	b.cookieBuf = b.Jar.AppendCookieHeader(b.cookieBuf[:0], u.Hostname(), u.Path, u.Scheme == "https")
+	setHeader(s.hdr, "Cookie", s.cookie[:], string(b.cookieBuf))
+	ctype := ""
 	if form != nil {
 		enc := form.Encode()
-		req.Body = io.NopCloser(strings.NewReader(enc))
-		req.ContentLength = int64(len(enc))
-		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		s.body.Reset(enc)
+		s.req.Body = io.NopCloser(&s.body)
+		s.req.ContentLength = int64(len(enc))
+		ctype = "application/x-www-form-urlencoded"
 	}
-	req.Header.Set("User-Agent", b.UserAgent)
-	req.Header.Set(vantage.GeoHeader, b.VP.Name)
-	if b.Visit != "" {
-		req.Header.Set(vantage.VisitHeader, b.Visit)
+	setHeader(s.hdr, "Content-Type", s.ctype[:], ctype)
+	if ctx != nil {
+		return s.req.WithContext(ctx)
 	}
-	b.cookieBuf = b.Jar.AppendCookieHeader(b.cookieBuf[:0], u.Hostname(), u.Path, u.Scheme == "https")
-	if len(b.cookieBuf) > 0 {
-		req.Header.Set("Cookie", string(b.cookieBuf))
+	return &s.req
+}
+
+// setHeader sets key to the single value v through its fixed slot, or
+// removes key when v is empty.
+func setHeader(h http.Header, key string, slot []string, v string) {
+	if v == "" {
+		delete(h, key)
+		return
 	}
-	return req
+	slot[0] = v
+	h[key] = slot
 }
 
 func isRedirect(code int) bool {
@@ -598,11 +563,12 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	if b.Blocker != nil && b.Blocker.ShouldBlock(page.Host(), abs.String()) {
-		page.Blocked = append(page.Blocked, abs.String())
+	absURL := abs.String()
+	if b.Blocker != nil && b.Blocker.ShouldBlock(page.Host(), absURL) {
+		page.Blocked = append(page.Blocked, absURL)
 		return "", false
 	}
-	resp, _, err := b.fetch(http.MethodGet, abs.String(), nil, 2, maxSubresourceBody)
+	resp, _, err := b.fetch(http.MethodGet, abs, nil, 2, maxSubresourceBody)
 	if err != nil {
 		// A transient failure that survived the whole retry budget (or a
 		// breaker fail-fast) degrades the composition: record it so the
@@ -610,11 +576,11 @@ func (b *Browser) fetchBlockable(page *Page, rawurl string) (string, bool) {
 		// errors — unknown hosts, bad URLs — keep the historical
 		// silently-skipped behavior; they are the page, not the weather.
 		if b.composeErr == nil && (IsTransient(err) || isCircuitOpen(err)) {
-			b.composeErr = fmt.Errorf("browser: subresource %s: %w", abs.String(), err)
+			b.composeErr = fmt.Errorf("browser: subresource %s: %w", absURL, err)
 		}
 		return "", false
 	}
-	page.Fetched = append(page.Fetched, abs.String())
+	page.Fetched = append(page.Fetched, absURL)
 	if resp.status != http.StatusOK {
 		return "", false
 	}
@@ -843,7 +809,7 @@ func (b *Browser) Click(page *Page, button *dom.Node) (*Page, error) {
 	default:
 		return nil, fmt.Errorf("browser: unsupported action %q", action)
 	}
-	resp, _, err := b.fetch(http.MethodPost, abs.String(), form, b.MaxRedirects, maxPageBody)
+	resp, _, err := b.fetch(http.MethodPost, abs, form, b.MaxRedirects, maxPageBody)
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,10 @@ import (
 // jitter backoff (the same discipline as the fleet client's), an
 // optional per-host admission gate (rate limiter + circuit breaker),
 // and a context that carries the per-visit deadline into every
-// request. The zero value disables everything and keeps the fetch
-// path byte-for-byte identical to the pre-resilience browser — the
-// in-process webfarm never fails, so the defaults pay nothing for it.
+// request. Every request takes the same path, armed or not. The zero
+// value disables everything: each request is one attempt whose result
+// or error returns verbatim, with the same request bytes as an armed
+// policy's first attempt.
 type Resilience struct {
 	// Ctx, when non-nil, is attached to every outgoing request — the
 	// per-visit deadline and cancellation reach the transport (real
@@ -103,10 +104,10 @@ func (e *exhaustedError) Error() string {
 func (e *exhaustedError) Unwrap() error   { return e.err }
 func (e *exhaustedError) Transient() bool { return true }
 
-// statusError is the retry loop's internal representation of a 5xx
-// response: retryable while budget remains, and — with retries
-// enabled — an error on exhaustion, so an injected 503 body can never
-// masquerade as page content in the analysis memo.
+// statusError is the retry loop's representation of a 5xx response
+// when a retry budget is set: retryable while budget remains, and an
+// error on exhaustion, so an injected 503 body can never masquerade as
+// page content in the analysis memo.
 type statusError struct {
 	url    string
 	status int
@@ -165,80 +166,58 @@ func (r *Resilience) sleep(d time.Duration) error {
 	}
 }
 
-// doRequest performs one logical request — newRequest + roundTrip —
-// under the Resilience policy: breaker admission once per request,
-// politeness pacing per attempt, bounded jittered retries of transient
-// failures, and exactly one terminal gate call (Report or Abandon) on
-// every exit path. With the zero Resilience it collapses to the
-// original single-shot path.
-func (b *Browser) doRequest(method string, u *url.URL, form url.Values, cur string, limit int) (response, error) {
+// doRequest performs one logical request under the Resilience policy.
+// It only does the gate's part: breaker admission once per request and
+// exactly one terminal gate call (Report or Abandon) on every exit
+// path. The attempts themselves, retried or not, run in
+// attemptRequest.
+func (b *Browser) doRequest(method string, u *url.URL, form url.Values, limit int) (response, error) {
 	res := &b.Resilience
-	if res.Retries <= 0 && res.Gate == nil {
-		if res.Ctx == nil && form == nil {
-			if _, ok := b.Transport.(bodyTransport); ok {
-				// Synchronous in-process dispatch never retains the
-				// request, so the session's scratch request/header can be
-				// reused across calls with zero per-request allocation.
-				return b.roundTrip(b.scratchRequest(method, u), cur, limit)
-			}
-		}
-		req := b.newRequest(method, u, form)
-		if res.Ctx != nil {
-			req = req.WithContext(res.Ctx)
-		}
-		return b.roundTrip(req, cur, limit)
+	if res.Gate == nil {
+		return b.attemptRequest(method, u, form, limit)
 	}
-
 	host := u.Hostname()
-	if cur == "" {
-		// Resilience error text (retry exhaustion, 5xx classification)
-		// embeds the request URL; materialize it once per logical
-		// request on this (already allocation-heavier) path.
-		cur = u.String()
-	}
-	if res.Gate != nil {
-		// Breaker admission is per logical request, not per attempt:
-		// the breaker judges final outcomes, and a half-open probe slot
-		// belongs to the whole request — an in-request retry re-checking
-		// the breaker would collide with its own probe and deny the very
-		// request it was admitted to perform. A fail-fast here is
-		// deliberately NOT reported back — denials must not feed the
-		// failure streak.
-		if err := res.Gate.Admit(host); err != nil {
-			if isCircuitOpen(err) && res.Meter != nil {
-				res.Meter.BreakerDenial()
-			}
-			return response{}, err
+	// Breaker admission is per logical request, not per attempt: the
+	// breaker judges final outcomes, and a half-open probe slot belongs
+	// to the whole request — an in-request retry re-checking the breaker
+	// would collide with its own probe and deny the very request it was
+	// admitted to perform. A fail-fast here is deliberately NOT reported
+	// back — denials must not feed the failure streak.
+	if err := res.Gate.Admit(host); err != nil {
+		if isCircuitOpen(err) && res.Meter != nil {
+			res.Meter.BreakerDenial()
 		}
+		return response{}, err
 	}
-	resp, err := b.attemptRequest(res, method, u, form, cur, limit, host)
-	if res.Gate != nil {
-		// Settle the admission with exactly one terminal call. A final
-		// success or a post-retry transient failure is the breaker's
-		// signal; everything else — ctx cancellation (including a
-		// transient fault overtaken by the visit deadline), errors that
-		// are deterministic web content rather than transport weather —
-		// abandons the admission, so a claimed probe slot is always
-		// released and the breaker can never wedge past its cooldown.
-		switch {
-		case err == nil:
-			res.Gate.Report(host, false)
-		case IsTransient(err) && res.ctx().Err() == nil:
-			if res.Gate.Report(host, true) && res.Meter != nil {
-				res.Meter.BreakerTrip()
-			}
-		default:
-			res.Gate.Abandon(host)
+	resp, err := b.attemptRequest(method, u, form, limit)
+	// Settle the admission with exactly one terminal call. A final
+	// success or a post-retry transient failure is the breaker's signal;
+	// everything else — ctx cancellation (including a transient fault
+	// overtaken by the visit deadline), errors that are deterministic web
+	// content rather than transport weather — abandons the admission, so
+	// a claimed probe slot is always released and the breaker can never
+	// wedge past its cooldown.
+	switch {
+	case err == nil:
+		res.Gate.Report(host, false)
+	case IsTransient(err) && res.ctx().Err() == nil:
+		if res.Gate.Report(host, true) && res.Meter != nil {
+			res.Meter.BreakerTrip()
 		}
+	default:
+		res.Gate.Abandon(host)
 	}
 	return resp, err
 }
 
-// attemptRequest runs the bounded retry loop for one admitted request:
-// a politeness token per attempt, jittered backoff between attempts,
-// and classification of each attempt's outcome. It never talks to the
+// attemptRequest runs the attempts of one admitted request: a
+// politeness token per attempt, jittered backoff between attempts, and
+// classification of each attempt's outcome. Without a retry budget it
+// is a single attempt whose result or error returns verbatim — a 5xx
+// is a page, a transient error is not rewrapped. It never talks to the
 // breaker — doRequest settles the admission from its return value.
-func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, form url.Values, cur string, limit int, host string) (response, error) {
+func (b *Browser) attemptRequest(method string, u *url.URL, form url.Values, limit int) (response, error) {
+	res := &b.Resilience
 	backoff := res.Backoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
@@ -248,31 +227,24 @@ func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, for
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if res.Gate != nil {
-			if err := res.Gate.Wait(res.ctx(), host); err != nil {
+			if err := res.Gate.Wait(res.ctx(), u.Hostname()); err != nil {
 				return response{}, err
 			}
 		}
-		req := b.newRequest(method, u, form)
-		rctx := res.Ctx
+		ctx := res.Ctx
 		if attempt > 0 {
-			base := rctx
-			if base == nil {
-				base = context.Background()
-			}
-			rctx = WithAttempt(base, attempt)
+			ctx = WithAttempt(res.ctx(), attempt)
 		}
-		if rctx != nil {
-			req = req.WithContext(rctx)
+		resp, err := b.roundTrip(b.request(method, u, form, ctx), limit)
+		if res.Retries <= 0 {
+			return resp, err
 		}
-		resp, err := b.roundTrip(req, cur, limit)
 		switch {
-		case err == nil && (resp.status < 500 || res.Retries <= 0):
-			// Success — including 4xx (deterministic web content) and,
-			// without a retry budget, 5xx: both are the pre-resilience
-			// behavior.
+		case err == nil && resp.status < 500:
+			// Success, including 4xx: deterministic web content.
 			return resp, nil
 		case err == nil:
-			lastErr = &statusError{url: cur, status: resp.status}
+			lastErr = &statusError{url: u.String(), status: resp.status}
 		case IsTransient(err) && res.ctx().Err() == nil:
 			lastErr = err
 		default:
@@ -282,13 +254,7 @@ func (b *Browser) attemptRequest(res *Resilience, method string, u *url.URL, for
 			return response{}, err
 		}
 		if attempt >= res.Retries {
-			if res.Retries <= 0 {
-				// Gate armed but no retry budget: the transient error
-				// returns verbatim, exactly as the pre-resilience browser
-				// surfaced it — no "giving up after 1 attempts" rewrap.
-				return response{}, lastErr
-			}
-			return response{}, &exhaustedError{url: cur, attempts: attempt + 1, err: lastErr}
+			return response{}, &exhaustedError{url: u.String(), attempts: attempt + 1, err: lastErr}
 		}
 		if res.Meter != nil {
 			res.Meter.VisitRetry()

@@ -56,11 +56,10 @@ type Config struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// circuitOpenError is returned, naming the host, by Admit (and so by
-// Acquire) while a host's breaker is open; IsCircuitOpen recognizes
-// it. It is definitive for the current request: retrying immediately
-// cannot help, the visit should fail fast and be accounted as a visit
-// error.
+// circuitOpenError is returned, naming the host, by Admit while a
+// host's breaker is open; IsCircuitOpen recognizes it. It is
+// definitive for the current request: retrying immediately cannot
+// help, the visit should fail fast and be accounted as a visit error.
 type circuitOpenError struct{ host string }
 
 func (e *circuitOpenError) Error() string {
@@ -170,23 +169,6 @@ func (g *Gate) host(host string) *hostState {
 		g.hosts[host] = h
 	}
 	return h
-}
-
-// Acquire is the single-shot composition of Admit and Wait for callers
-// whose logical request is exactly one attempt: breaker admission, then
-// a rate-limiter token. When the limiter wait fails after admission
-// (ctx canceled), the admission is abandoned internally before the
-// error returns — the caller holds nothing. A nil return means the
-// caller was admitted and owes the gate one Report or Abandon.
-func (g *Gate) Acquire(ctx context.Context, host string) error {
-	if err := g.Admit(host); err != nil {
-		return err
-	}
-	if err := g.Wait(ctx, host); err != nil {
-		g.Abandon(host)
-		return err
-	}
-	return nil
 }
 
 // Admit checks host's breaker and admits or refuses one logical

@@ -41,13 +41,29 @@ func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
+// acquire is one single-attempt request's gate protocol: breaker
+// admission, then a rate-limiter token. When the wait fails after
+// admission (ctx canceled) it abandons the admission before returning,
+// so the caller holds nothing; a nil return leaves the caller owing
+// the gate one Report or Abandon.
+func acquire(g *Gate, ctx context.Context, host string) error {
+	if err := g.Admit(host); err != nil {
+		return err
+	}
+	if err := g.Wait(ctx, host); err != nil {
+		g.Abandon(host)
+		return err
+	}
+	return nil
+}
+
 func TestNewNilWhenDisabled(t *testing.T) {
 	if g := New(Config{}); g != nil {
 		t.Fatalf("New with zero config = %v, want nil", g)
 	}
 	var g *Gate
-	if err := g.Acquire(context.Background(), "a.example"); err != nil {
-		t.Fatalf("nil gate Acquire: %v", err)
+	if err := acquire(g, context.Background(), "a.example"); err != nil {
+		t.Fatalf("nil gate acquire: %v", err)
 	}
 	if g.Report("a.example", true) {
 		t.Fatal("nil gate Report tripped")
@@ -62,8 +78,8 @@ func TestRateLimiterPacesRequests(t *testing.T) {
 	// Burst of 2 goes through instantly; the next 8 must each wait for
 	// a 100ms refill.
 	for i := 0; i < 10; i++ {
-		if err := g.Acquire(ctx, "a.example"); err != nil {
-			t.Fatalf("Acquire %d: %v", i, err)
+		if err := acquire(g, ctx, "a.example"); err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
 		}
 	}
 	elapsed := clk.Now().Sub(start)
@@ -73,8 +89,8 @@ func TestRateLimiterPacesRequests(t *testing.T) {
 	}
 	// A different host has its own bucket: no waiting.
 	before := clk.Now()
-	if err := g.Acquire(ctx, "b.example"); err != nil {
-		t.Fatalf("Acquire other host: %v", err)
+	if err := acquire(g, ctx, "b.example"); err != nil {
+		t.Fatalf("acquire other host: %v", err)
 	}
 	if d := clk.Now().Sub(before); d != 0 {
 		t.Fatalf("fresh host waited %v, want 0", d)
@@ -87,11 +103,11 @@ func TestRateLimiterHonorsContext(t *testing.T) {
 		return context.Canceled
 	}})
 	ctx := context.Background()
-	if err := g.Acquire(ctx, "a.example"); err != nil {
-		t.Fatalf("first Acquire: %v", err)
+	if err := acquire(g, ctx, "a.example"); err != nil {
+		t.Fatalf("first acquire: %v", err)
 	}
-	if err := g.Acquire(ctx, "a.example"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire after cancel = %v, want context.Canceled", err)
+	if err := acquire(g, ctx, "a.example"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("acquire after cancel = %v, want context.Canceled", err)
 	}
 }
 
@@ -103,24 +119,24 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 
 	// Two failures: still closed.
 	for i := 0; i < 2; i++ {
-		if err := g.Acquire(ctx, host); err != nil {
-			t.Fatalf("Acquire %d: %v", i, err)
+		if err := acquire(g, ctx, host); err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
 		}
 		if g.Report(host, true) {
 			t.Fatalf("Report %d tripped early", i)
 		}
 	}
 	// Third consecutive failure trips it.
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("Acquire 3: %v", err)
+	if err := acquire(g, ctx, host); err != nil {
+		t.Fatalf("acquire 3: %v", err)
 	}
 	if !g.Report(host, true) {
 		t.Fatal("threshold-th failure did not trip the breaker")
 	}
 	// Open: fail fast.
-	err := g.Acquire(ctx, host)
+	err := acquire(g, ctx, host)
 	if !IsCircuitOpen(err) {
-		t.Fatalf("Acquire while open = %v, want circuit-open", err)
+		t.Fatalf("acquire while open = %v, want circuit-open", err)
 	}
 	if IsCircuitOpen(fmt.Errorf("wrapped: %w", errors.New("other"))) {
 		t.Fatal("IsCircuitOpen misclassified an unrelated error")
@@ -132,30 +148,30 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	// After the cooldown a single probe is admitted; a second caller
 	// still fails fast while the probe is in flight.
 	clk.Advance(time.Second)
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := acquire(g, ctx, host); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
-	if err := g.Acquire(ctx, host); !IsCircuitOpen(err) {
+	if err := acquire(g, ctx, host); !IsCircuitOpen(err) {
 		t.Fatalf("second caller during probe = %v, want circuit-open", err)
 	}
 	// Probe fails: straight back to open, cooldown restarted.
 	if !g.Report(host, true) {
 		t.Fatal("failed probe did not re-trip")
 	}
-	if err := g.Acquire(ctx, host); !IsCircuitOpen(err) {
+	if err := acquire(g, ctx, host); !IsCircuitOpen(err) {
 		t.Fatalf("after failed probe = %v, want circuit-open", err)
 	}
 
 	// Next probe succeeds: breaker closes, traffic flows again.
 	clk.Advance(time.Second)
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := acquire(g, ctx, host); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
 	if g.Report(host, false) {
 		t.Fatal("successful probe reported as trip")
 	}
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("post-recovery Acquire: %v", err)
+	if err := acquire(g, ctx, host); err != nil {
+		t.Fatalf("post-recovery acquire: %v", err)
 	}
 
 	trips, denials := g.Counters()
@@ -177,14 +193,14 @@ func TestAbandonReleasesProbe(t *testing.T) {
 	ctx := context.Background()
 	host := "probe.example"
 
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("Acquire: %v", err)
+	if err := acquire(g, ctx, host); err != nil {
+		t.Fatalf("acquire: %v", err)
 	}
 	if !g.Report(host, true) {
 		t.Fatal("threshold-1 failure did not trip")
 	}
 	clk.Advance(time.Second)
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := acquire(g, ctx, host); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
 	// The probe's request dies without an outcome (say, its visit
@@ -192,20 +208,20 @@ func TestAbandonReleasesProbe(t *testing.T) {
 	g.Abandon(host)
 	// The slot is free again — the next caller becomes the probe
 	// instead of being denied until the end of time.
-	if err := g.Acquire(ctx, host); err != nil {
+	if err := acquire(g, ctx, host); err != nil {
 		t.Fatalf("probe slot leaked after Abandon: %v", err)
 	}
 	if g.Report(host, false) {
 		t.Fatal("successful probe reported as trip")
 	}
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("post-recovery Acquire: %v", err)
+	if err := acquire(g, ctx, host); err != nil {
+		t.Fatalf("post-recovery acquire: %v", err)
 	}
 	g.Report(host, false)
 }
 
-// TestAcquireReleasesProbeOnCanceledWait: when Acquire's rate-limiter
-// wait fails AFTER breaker admission claimed the probe slot, Acquire
+// TestAcquireReleasesProbeOnCanceledWait: when acquire's rate-limiter
+// wait fails AFTER breaker admission claimed the probe slot, acquire
 // must release the slot before returning — the caller holds nothing
 // and will never call Report or Abandon.
 func TestAcquireReleasesProbeOnCanceledWait(t *testing.T) {
@@ -230,15 +246,15 @@ func TestAcquireReleasesProbeOnCanceledWait(t *testing.T) {
 	ctx := context.Background()
 	host := "slow.example"
 
-	if err := g.Acquire(ctx, host); err != nil {
-		t.Fatalf("Acquire: %v", err)
+	if err := acquire(g, ctx, host); err != nil {
+		t.Fatalf("acquire: %v", err)
 	}
 	g.Report(host, true) // trips (threshold 1)
 	clk.Advance(time.Second)
 	canceled = true
 	// Admission claims the probe; the limiter wait then dies.
-	if err := g.Acquire(ctx, host); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire with canceled wait = %v, want context.Canceled", err)
+	if err := acquire(g, ctx, host); !errors.Is(err, context.Canceled) {
+		t.Fatalf("acquire with canceled wait = %v, want context.Canceled", err)
 	}
 	// The probe slot must have been released internally.
 	if err := g.Admit(host); err != nil {
@@ -285,13 +301,13 @@ func TestGateHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				host := hosts[(w+i)%len(hosts)]
-				err := g.Acquire(ctx, host)
+				err := acquire(g, ctx, host)
 				if IsCircuitOpen(err) {
 					denied.Add(1)
 					continue
 				}
 				if err != nil {
-					t.Errorf("Acquire: %v", err)
+					t.Errorf("acquire: %v", err)
 					return
 				}
 				ok.Add(1)

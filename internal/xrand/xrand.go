@@ -89,22 +89,18 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
+// Perm returns a pseudo-random permutation of [0, n), shuffled in
+// place (Fisher-Yates).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
 	}
-	r.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts shuffles s in place (Fisher-Yates).
-func (r *Rand) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
+	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
+		p[i], p[j] = p[j], p[i]
 	}
+	return p
 }
 
 // ShuffleStrings shuffles s in place (Fisher-Yates).
@@ -113,11 +109,6 @@ func (r *Rand) ShuffleStrings(s []string) {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// Pick returns a uniformly chosen element of s. It panics on empty s.
-func (r *Rand) Pick(s []string) string {
-	return s[r.Intn(len(s))]
 }
 
 // WeightedIndex returns an index in [0, len(weights)) with probability

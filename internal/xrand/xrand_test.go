@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,11 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen[v] = true
 	}
+	// Known answer: the Intn sequence behind Perm is part of every
+	// generated registry.
+	if got, want := fmt.Sprint(New(7).Perm(10)), "[8 1 5 9 0 4 3 2 6 7]"; got != want {
+		t.Fatalf("New(7).Perm(10) = %s, want %s", got, want)
+	}
 }
 
 func TestWeightedIndex(t *testing.T) {
@@ -182,7 +188,7 @@ func TestSubSeedOrderMatters(t *testing.T) {
 	}
 }
 
-func TestShuffleStringsAndPick(t *testing.T) {
+func TestShuffleStrings(t *testing.T) {
 	r := New(31)
 	s := []string{"a", "b", "c", "d", "e"}
 	orig := append([]string(nil), s...)
@@ -194,15 +200,6 @@ func TestShuffleStringsAndPick(t *testing.T) {
 	for _, v := range orig {
 		if !seen[v] {
 			t.Fatalf("shuffle lost element %q", v)
-		}
-	}
-	counts := map[string]int{}
-	for i := 0; i < 1000; i++ {
-		counts[r.Pick(orig)]++
-	}
-	for _, v := range orig {
-		if counts[v] == 0 {
-			t.Fatalf("Pick never chose %q", v)
 		}
 	}
 }
