@@ -13,9 +13,10 @@ import (
 // TestGoldenParallelism pins the multi-core determinism contract: the
 // COMPLETE experiment output is byte-identical to the golden snapshot
 // at every (GOMAXPROCS, Workers) combination a deployment might pick.
-// Shard-affine session pools, batched resequencer delivery and padded
-// cache shards (PR 10) are all pure mechanism — if any of them leaked
-// scheduling into results, the diff would surface here first.
+// The campaign engine's claim cursor and slot ring, one session slot
+// per worker for the whole campaign, and padded cache shards are all
+// pure mechanism — if any of them leaked scheduling into results, the
+// diff would surface here first.
 func TestGoldenParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full scale-0.02 experiment four times")

@@ -7,16 +7,19 @@
 // count, shard count, or scheduling.
 //
 // A campaign partitions its target list into contiguous shards. Shards
-// run one after another, each with its own worker pool; inside a shard,
-// visits run concurrently but their results are re-sequenced through a
-// bounded in-flight window before reaching the sink. The window gives
-// backpressure (at most Window results are ever buffered, never the
-// full target list) and the re-sequencing gives determinism: the sink
-// observes results exactly as if the targets had been visited one by
-// one, left to right.
+// run one after another on the same workers; inside a shard, each worker
+// claims the next index from an atomic cursor, visits it and puts the
+// result in the index's slot of a ring of Window one-result slots, and
+// the calling goroutine takes the slots in index order and hands them
+// to the sink. A claim needs one of Window tokens, which only delivery
+// returns, so at most Window results are ever buffered (backpressure,
+// never the full target list), and the sink observes results exactly
+// as if the targets had been visited one by one, left to right
+// (determinism). Each worker keeps one session slot (Affinity) for the
+// whole campaign.
 //
 // Cancellation is first-class: cancel the context and the engine stops
-// dispatching, lets in-flight visits finish (visit functions receive
+// claiming, lets in-flight visits finish (visit functions receive
 // the context and may abort early), accounts every undone target as
 // canceled, and returns context.Cause promptly with no goroutine left
 // behind. Per-shard counters (done / errors / canceled) survive in the
@@ -38,11 +41,12 @@ type Config struct {
 	// Label names the campaign in progress callbacks
 	// ("landscape Germany", "cookies accept", ...).
 	Label string
-	// Workers is the per-shard worker pool size (default GOMAXPROCS).
+	// Workers is the worker pool size (default GOMAXPROCS); the same
+	// workers, one session slot each, run every shard.
 	Workers int
 	// Shards is the number of contiguous target partitions. Zero picks
 	// DefaultShards(len(targets)). Sharding never changes results — it
-	// bounds the re-sequencing scope and structures progress/error
+	// bounds the in-order delivery scope and structures progress/error
 	// accounting into reportable units.
 	Shards int
 	// Window bounds in-flight results awaiting in-order delivery
@@ -236,11 +240,12 @@ func withMeter(ctx context.Context, m *Meter) context.Context {
 	return context.WithValue(ctx, meterKey{}, m)
 }
 
-// Affinity is a worker-affine scratch slot. Every worker goroutine of a
-// campaign carries its own Affinity in the visit context, so the visit
-// layer can keep expensive per-session state (a browser, its parser
-// arenas, its cookie-jar map) pinned to one worker for its lifetime. A
-// worker runs its visits strictly sequentially, so the slot needs no
+// Affinity is a worker-affine scratch slot. A campaign allocates one
+// per worker and worker w of every shard carries the same slot in the
+// visit context, so the visit layer can keep expensive per-session
+// state (a browser, its parser arenas, its cookie-jar map) pinned to
+// one worker for the whole campaign. A worker runs its visits strictly
+// sequentially and shards run one after another, so the slot needs no
 // locking; it must never be shared outside the visit that read it from
 // its context.
 //
@@ -402,6 +407,9 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 	// through their context, and per-shard deltas are cut at shard
 	// boundaries (shards run strictly one after another).
 	meter := &Meter{}
+	// One session slot per worker for the whole campaign: worker w of
+	// every shard keeps its state in affs[w].
+	affs := make([]Affinity, cfg.workers())
 	for shard := 0; shard < nShards; shard++ {
 		lo, hi := ShardRange(len(targets), nShards, shard)
 		stats.step(cfg, shard, nShards, total, meter, func() ShardStats {
@@ -412,7 +420,7 @@ func run[T, R any](ctx context.Context, cfg Config, targets []T,
 				// reaches Shards/Shards.
 				return ShardStats{Shard: shard, Targets: hi - lo, Canceled: int64(hi - lo)}
 			}
-			return runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, total, meter, ck, replay)
+			return runShard(ctx, cfg, targets, visit, sink, shard, nShards, lo, hi, &stats, total, meter, affs, ck, replay)
 		})
 	}
 	return stats.finish(ctx, ck)
@@ -460,10 +468,10 @@ func (s Stats) finish(ctx context.Context, ck *checkpointState) (Stats, error) {
 
 // shardResult pairs a Result with the engine-internal markers:
 // canceled targets never reach the sink but must be accounted and
-// re-sequenced like everything else; replayed results came from the
-// journal (never re-journaled, counted separately); enc carries the
-// journal encoding of a fresh result, serialized on the worker so the
-// single-threaded delivery loop only writes bytes.
+// pass through their slot like everything else; replayed results came
+// from the journal (never re-journaled, counted separately); enc
+// carries the journal encoding of a fresh result, serialized on the
+// worker so the single-threaded delivery loop only writes bytes.
 type shardResult[R any] struct {
 	res      Result[R]
 	canceled bool
@@ -472,15 +480,23 @@ type shardResult[R any] struct {
 	encOK    bool
 }
 
-// runShard runs one contiguous target range [lo, hi) through a fresh
-// worker pool and delivers its results in order. With a checkpoint,
-// indices present in replay are decoded from the journal instead of
-// visited, and fresh results are journaled at delivery time — in index
-// order, so the journal is always a prefix-consistent log.
+// runShard runs one contiguous target range [lo, hi) and delivers its
+// results in order. With a checkpoint, indices present in replay are
+// decoded from the journal instead of visited, and fresh results are
+// journaled at delivery time — in index order, so the journal is always
+// a prefix-consistent log. Worker w keeps its session state in affs[w],
+// which outlives the shard.
+//
+// Workers claim indices from one atomic cursor, each claim backed by a
+// token from a window-sized pool that only delivery refills. So every
+// claimed-but-undelivered index i satisfies next <= i < next+window,
+// and slots[i%window] — a one-result channel — is always empty when its
+// worker fills it: the calling goroutine receives the slots in index
+// order and never waits on anything but the result it delivers next.
 func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 	visit func(context.Context, T) (R, error), sink func(Result[R]),
 	shard, nShards, lo, hi int, sofar *Stats, total int64,
-	meter *Meter, ck *checkpointState, replay map[int]journalRecord) ShardStats {
+	meter *Meter, affs []Affinity, ck *checkpointState, replay map[int]journalRecord) ShardStats {
 
 	var jw *journalWriter
 	if ck != nil && !ck.dead.Load() {
@@ -491,245 +507,154 @@ func runShard[T, R any](ctx context.Context, cfg Config, targets []T,
 		}
 	}
 
-	window := cfg.window()
-	workers := cfg.workers()
-	if workers > hi-lo {
-		// Never more goroutines than targets: single-visit campaigns
-		// (AnalyzeOne) and tiny tail shards get a right-sized pool.
-		workers = hi - lo
-	}
-	idxCh := make(chan int)
-	// Workers hand results to the delivery loop in batches, amortizing
-	// the per-visit channel synchronization: a worker keeps appending to
-	// its private batch while more work is immediately available and
-	// flushes when the batch fills OR before it would block on idxCh —
-	// so under load batches run full, and when the pipeline drains (or
-	// the dispatcher stalls on the token window) every partial batch is
-	// flushed rather than held. Batch boundaries are therefore pure
-	// scheduling: the re-sequencer below delivers the same results in
-	// the same order regardless of how they were grouped in transit.
-	batchCap := 1
-	if workers > 0 {
-		batchCap = window / workers
-	}
-	if batchCap < 1 {
-		batchCap = 1
-	}
-	if batchCap > 32 {
-		batchCap = 32
-	}
-	resCh := make(chan []shardResult[R], workers)
-	// freeCh recycles drained batch slices back to the workers.
-	freeCh := make(chan []shardResult[R], workers)
-	// tokens caps dispatched-but-undelivered visits at window, which
-	// bounds the re-sequencing buffer below.
-	tokens := make(chan struct{}, window)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One context wrap per worker goroutine, not per visit: the
-			// meter and the worker-affine scratch slot ride to the visit
-			// layer as context values.
-			vctx := WithAffinity(withMeter(ctx, meter), &Affinity{})
-			var batch []shardResult[R]
-			flush := func() {
-				if len(batch) > 0 {
-					resCh <- batch
-					batch = nil
+	// visitOne produces index i's result on a worker: canceled when the
+	// campaign was canceled first, decoded from the journal when
+	// replayable, else a fresh visit, journal-encoded on the worker so
+	// the single delivery loop only writes bytes.
+	visitOne := func(vctx context.Context, i int) shardResult[R] {
+		r := Result[R]{Index: i, Shard: shard}
+		if ctx.Err() != nil {
+			return shardResult[R]{res: r, canceled: true}
+		}
+		if rec, ok := replay[i]; ok {
+			if v, err := ck.cp.Codec.Decode(rec.value); err == nil {
+				if val, ok := v.(R); ok {
+					r.Value = val
+					if rec.errStr != "" {
+						r.Err = errors.New(rec.errStr)
+					}
+					return shardResult[R]{res: r, replayed: true}
 				}
 			}
-			for {
-				var i int
-				var ok bool
-				if len(batch) == 0 {
-					i, ok = <-idxCh
-				} else {
-					select {
-					case i, ok = <-idxCh:
-					default:
-						// Nothing immediately dispatchable: flush the
-						// partial batch before blocking, so the delivery
-						// loop (and through it the token window) can make
-						// progress on what this worker already finished.
-						flush()
-						i, ok = <-idxCh
-					}
-				}
-				if !ok {
-					break
-				}
-				if batch == nil {
-					select {
-					case batch = <-freeCh:
-					default:
-						batch = make([]shardResult[R], 0, batchCap)
-					}
-				}
-				r := Result[R]{Index: i, Shard: shard}
-				if ctx.Err() != nil {
-					// Dispatched before cancellation won the race: report
-					// the target as unvisited rather than calling visit.
-					batch = append(batch, shardResult[R]{res: r, canceled: true})
-					if len(batch) == cap(batch) {
-						flush()
-					}
-					continue
-				}
-				if rec, ok := replay[i]; ok {
-					if v, err := ck.cp.Codec.Decode(rec.value); err == nil {
-						if val, ok := v.(R); ok {
-							r.Value = val
-							if rec.errStr != "" {
-								r.Err = errors.New(rec.errStr)
-							}
-							batch = append(batch, shardResult[R]{res: r, replayed: true})
-							if len(batch) == cap(batch) {
-								flush()
-							}
-							continue
-						}
-					}
-					// An undecodable record (codec change, bit rot that
-					// slipped past the checksum) is not fatal: fall through
-					// and re-visit the target fresh.
-				}
-				// A real visit holds one slot of the (possibly shared)
-				// worker budget; cancellation while waiting accounts the
-				// target as canceled, exactly like the dispatch-race path
-				// above.
-				if !cfg.Budget.acquire(ctx) {
-					batch = append(batch, shardResult[R]{res: r, canceled: true})
-					if len(batch) == cap(batch) {
-						flush()
-					}
-					continue
-				}
-				r.Value, r.Err = visit(vctx, targets[i])
-				cfg.Budget.release()
-				sr := shardResult[R]{res: r}
-				if ck != nil && !ck.dead.Load() {
-					// Serialize on the worker so the single-threaded
-					// delivery loop below only appends bytes. Once
-					// journaling has failed, skip the (dropped-anyway)
-					// encoding work for the rest of the campaign.
-					if enc, err := ck.cp.Codec.Encode(r.Value); err == nil {
-						sr.enc, sr.encOK = enc, true
-					} else {
-						ck.fail(fmt.Errorf("encode index %d: %w", i, err))
-					}
-				}
-				batch = append(batch, sr)
-				if len(batch) == cap(batch) {
-					flush()
-				}
-			}
-			flush()
-		}()
-	}
-	go func() { // dispatcher
-		defer close(idxCh)
-		for i := lo; i < hi; i++ {
-			select {
-			case tokens <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case idxCh <- i:
-			case <-ctx.Done():
-				// The token for this index is never consumed; harmless,
-				// the channel is garbage-collected with the shard.
-				return
+			// An undecodable record (codec change, bit rot that slipped
+			// past the checksum) is not fatal: re-visit the target fresh.
+		}
+		// A real visit holds one slot of the (possibly shared) worker
+		// budget; cancellation while waiting accounts the target as
+		// canceled.
+		if !cfg.Budget.acquire(ctx) {
+			return shardResult[R]{res: r, canceled: true}
+		}
+		r.Value, r.Err = visit(vctx, targets[i])
+		cfg.Budget.release()
+		sr := shardResult[R]{res: r}
+		if ck != nil && !ck.dead.Load() {
+			// Once journaling has failed, skip the (dropped-anyway)
+			// encoding work for the rest of the campaign.
+			if enc, err := ck.cp.Codec.Encode(r.Value); err == nil {
+				sr.enc, sr.encOK = enc, true
+			} else {
+				ck.fail(fmt.Errorf("encode index %d: %w", i, err))
 			}
 		}
-	}()
-	go func() { wg.Wait(); close(resCh) }()
+		return sr
+	}
+
+	window := cfg.window()
+	tokens := make(chan struct{}, window)
+	slots := make([]chan shardResult[R], window)
+	for s := range slots {
+		slots[s] = make(chan shardResult[R], 1)
+	}
+	var cursor atomic.Int64
+	cursor.Store(int64(lo))
+	// Never more goroutines than targets: single-visit campaigns
+	// (AnalyzeOne) and tiny tail shards get a right-sized pool.
+	workers := min(len(affs), hi-lo)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			// One context wrap per worker, not per visit: the meter and
+			// the worker's session slot ride to the visit layer as
+			// context values.
+			vctx := WithAffinity(withMeter(ctx, meter), &affs[w])
+			for ctx.Err() == nil {
+				select {
+				case tokens <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+				i := int(cursor.Add(1) - 1)
+				if i >= hi {
+					<-tokens
+					return
+				}
+				slots[i%window] <- visitOne(vctx, i)
+			}
+		}()
+	}
+	exited := make(chan struct{})
+	go func() { wg.Wait(); close(exited) }()
 
 	sh := ShardStats{Shard: shard, Targets: hi - lo}
 	progressEvery := int64(cfg.ProgressEvery)
 	if progressEvery <= 0 {
 		progressEvery = 1000
 	}
-	next := lo
-	// Re-sequencing ring: the token window caps dispatched-but-
-	// undelivered indices at `window`, and delivery below frees a token
-	// only when `next` advances — so every in-flight index i satisfies
-	// next <= i < next+window, and i%window addresses a unique live
-	// slot. A fixed ring therefore replaces the old pending map: no
-	// per-result map assignment/deletion, no rehashing, same order.
-	ring := make([]shardResult[R], window)
-	ringSet := make([]bool, window)
-	for batch := range resCh {
-		for _, r := range batch {
-			slot := r.res.Index % window
-			ring[slot] = r
-			ringSet[slot] = true
-		}
-		// Recycle the drained batch slice (clearing it first so pooled
-		// slices don't pin delivered result values).
-		clear(batch)
+deliver:
+	for next := lo; next < hi; next++ {
+		var q shardResult[R]
 		select {
-		case freeCh <- batch[:0]:
-		default:
+		case q = <-slots[next%window]:
+		case <-exited:
+			// Every claimed index sits in its slot once the workers are
+			// gone; an empty slot means cancellation stopped the claims.
+			select {
+			case q = <-slots[next%window]:
+			default:
+				break deliver
+			}
 		}
-		for {
-			slot := next % window
-			if !ringSet[slot] {
-				break
+		<-tokens
+		if q.canceled {
+			sh.Canceled++
+			continue
+		}
+		sh.Done++
+		if q.replayed {
+			sh.Replayed++
+		}
+		if q.res.Err != nil {
+			sh.Errors++
+		}
+		if sink != nil {
+			sink(q.res)
+		}
+		if jw != nil && q.encOK {
+			// Journal AFTER the sink observed the result: a record on
+			// disk always describes a delivery that really happened.
+			if err := jw.append(q.res.Index, errString(q.res.Err), q.enc); err != nil {
+				ck.fail(err)
+				jw.close()
+				jw = nil
 			}
-			q := ring[slot]
-			ring[slot] = shardResult[R]{}
-			ringSet[slot] = false
-			<-tokens
-			next++
-			if q.canceled {
-				sh.Canceled++
-				continue
-			}
-			sh.Done++
-			if q.replayed {
-				sh.Replayed++
-			}
-			if q.res.Err != nil {
-				sh.Errors++
-			}
-			if sink != nil {
-				sink(q.res)
-			}
-			if jw != nil && q.encOK {
-				// Journal AFTER the sink observed the result: a record on
-				// disk always describes a delivery that really happened.
-				if err := jw.append(q.res.Index, errString(q.res.Err), q.enc); err != nil {
-					ck.fail(err)
-					jw.close()
-					jw = nil
-				}
-			}
-			if cfg.OnProgress != nil && (sh.Done+sh.Canceled)%progressEvery == 0 {
-				retries, trips, denials := meter.counts()
-				cfg.OnProgress(Progress{
-					Label: cfg.Label, Shard: shard + 1, Shards: nShards,
-					Done:     sofar.Done + sh.Done,
-					Total:    total,
-					Errors:   sofar.Errors + sh.Errors,
-					Replayed: sofar.Replayed + sh.Replayed,
-					// The meter counts campaign-globally and shards run
-					// sequentially, so its totals are exact here.
-					Retries: retries, BreakerTrips: trips, BreakerDenials: denials,
-				})
-			}
+		}
+		if cfg.OnProgress != nil && (sh.Done+sh.Canceled)%progressEvery == 0 {
+			retries, trips, denials := meter.counts()
+			cfg.OnProgress(Progress{
+				Label: cfg.Label, Shard: shard + 1, Shards: nShards,
+				Done:     sofar.Done + sh.Done,
+				Total:    total,
+				Errors:   sofar.Errors + sh.Errors,
+				Replayed: sofar.Replayed + sh.Replayed,
+				// The meter counts campaign-globally and shards run
+				// sequentially, so its totals are exact here.
+				Retries: retries, BreakerTrips: trips, BreakerDenials: denials,
+			})
 		}
 	}
+	// The next shard's workers take over affs: wait until this shard's
+	// are gone.
+	<-exited
 	if jw != nil {
 		// Shard complete (or canceled): make its journal durable.
 		if err := jw.close(); err != nil {
 			ck.fail(err)
 		}
 	}
-	// Dispatch stopped early on cancellation: the never-dispatched tail.
+	// Claims stopped early on cancellation: the never-claimed tail.
 	sh.Canceled += int64(hi-lo) - sh.Done - sh.Canceled
 	return sh
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -243,6 +244,58 @@ func TestWorkerConcurrencyBound(t *testing.T) {
 	}
 	if p := peak.Load(); p > workers {
 		t.Fatalf("peak concurrent visits = %d > %d workers", p, workers)
+	}
+}
+
+// TestOneSessionPerWorkerPerCampaign: worker w of every shard carries
+// the same Affinity slot, so a campaign builds at most Workers visit
+// sessions however many shards it has.
+func TestOneSessionPerWorkerPerCampaign(t *testing.T) {
+	const workers = 3
+	targets := make([]int, 400)
+	var mu sync.Mutex
+	seen := map[*Affinity]bool{}
+	_, err := Run(context.Background(), Config{Workers: workers, Shards: 4}, targets,
+		func(ctx context.Context, x int) (int, error) {
+			mu.Lock()
+			seen[AffinityFrom(ctx)] = true
+			mu.Unlock()
+			return spin(x), nil
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen[nil] {
+		t.Fatal("a visit ran without an Affinity slot")
+	}
+	if len(seen) > workers {
+		t.Fatalf("%d distinct Affinity slots, want at most %d (one per worker)", len(seen), workers)
+	}
+}
+
+// TestWindowBoundsClaims pins the bound the slot ring relies on: with
+// more workers than tokens, index i is never visited before i − Window
+// results have reached the sink.
+func TestWindowBoundsClaims(t *testing.T) {
+	const window = 4
+	targets := make([]int, 2000)
+	for i := range targets {
+		targets[i] = i
+	}
+	var sinkCalls atomic.Int64
+	var violations atomic.Int32
+	_, err := Run(context.Background(), Config{Workers: 8, Shards: 3, Window: window}, targets,
+		func(_ context.Context, i int) (int, error) {
+			if d := int64(i) - sinkCalls.Load(); d > window && violations.Add(1) == 1 {
+				t.Errorf("index %d visited with %d sink calls: %d ahead, window %d", i, i-int(d), d, window)
+			}
+			return spin(i), nil
+		}, func(Result[int]) { sinkCalls.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sinkCalls.Load(); n != int64(len(targets)) {
+		t.Fatalf("%d sink calls, want %d", n, len(targets))
 	}
 }
 

@@ -64,7 +64,7 @@ func RunRange[T, R any](ctx context.Context, cfg Config, targets []T, shard, sha
 	stats := Stats{Targets: hi - lo}
 	meter := &Meter{}
 	stats.step(cfg, shard, shards, int64(hi-lo), meter, func() ShardStats {
-		return runShard(ctx, cfg, targets, visit, sink, shard, shards, lo, hi, &stats, int64(hi-lo), meter, ck, nil)
+		return runShard(ctx, cfg, targets, visit, sink, shard, shards, lo, hi, &stats, int64(hi-lo), meter, make([]Affinity, cfg.workers()), ck, nil)
 	})
 	return stats.finish(ctx, ck)
 }

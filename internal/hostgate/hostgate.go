@@ -23,7 +23,7 @@
 // never opens: the gate is provably inert and cannot perturb
 // byte-identical golden runs. The rate limiter can only delay
 // requests, never reorder or fail them (except via ctx cancellation),
-// which the campaign layer's re-sequencing absorbs.
+// which the campaign layer's in-order delivery absorbs.
 package hostgate
 
 import (

@@ -165,8 +165,8 @@ func runExperimentCampaign[R any](ctx context.Context, c *Crawler, label string,
 // armed. Call cancel and aff.Put(b) when the visit is done.
 //
 // A campaign worker carries an Affinity slot in ctx and keeps one
-// session — parser arenas and cookie-jar map included — pinned for its
-// whole lifetime; a visit without a slot builds a new session, and
+// session — parser arenas and cookie-jar map included — pinned for the
+// whole campaign; a visit without a slot builds a new session, and
 // aff.Put on the nil slot drops it. Every session is reset to a fresh
 // profile, so reuse is invisible to the measurement. With no policy
 // configured the zero-Resilience browser pays nothing.
