@@ -49,7 +49,7 @@ func TestOpenParsesPage(t *testing.T) {
 	if page.Status != 200 {
 		t.Fatalf("status %d", page.Status)
 	}
-	if page.Doc.QuerySelector("#cw-banner") == nil {
+	if page.Doc.Query(dom.MustCompileSelector("#cw-banner")) == nil {
 		t.Fatal("banner not in DOM")
 	}
 	if b.Jar.Len() == 0 {
@@ -69,11 +69,11 @@ func TestScriptInjection(t *testing.T) {
 	}
 	// The provider script must have been fetched and its fragment
 	// injected into the slot.
-	slot := page.Doc.QuerySelector("#cw-slot")
+	slot := page.Doc.Query(dom.MustCompileSelector("#cw-slot"))
 	if slot == nil {
 		t.Fatal("slot missing")
 	}
-	if slot.QuerySelector("#cw-banner") == nil {
+	if slot.Query(dom.MustCompileSelector("#cw-banner")) == nil {
 		t.Fatal("banner fragment not injected")
 	}
 	found := false
@@ -98,7 +98,7 @@ func TestShadowDOMMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Banner must NOT be reachable by plain selector...
-	if page.Doc.QuerySelector("#cw-banner") != nil {
+	if page.Doc.Query(dom.MustCompileSelector("#cw-banner")) != nil {
 		t.Fatal("shadow content leaked into light DOM")
 	}
 	// ...but must exist inside a shadow root.
@@ -108,7 +108,7 @@ func TestShadowDOMMaterialized(t *testing.T) {
 	}
 	found := false
 	for _, sr := range roots {
-		if sr.Root.QuerySelector("#cw-banner") != nil {
+		if sr.Root.Query(dom.MustCompileSelector("#cw-banner")) != nil {
 			found = true
 		}
 	}
@@ -131,7 +131,7 @@ func TestInjectedShadowViaProvider(t *testing.T) {
 	if len(roots) != 1 || roots[0].Mode != dom.ShadowClosed {
 		t.Fatalf("shadow roots = %v", roots)
 	}
-	if roots[0].Root.QuerySelector("#cw-banner") == nil {
+	if roots[0].Root.Query(dom.MustCompileSelector("#cw-banner")) == nil {
 		t.Fatal("closed shadow banner missing")
 	}
 }
@@ -152,7 +152,7 @@ func TestIFrameLoaded(t *testing.T) {
 	}
 	found := false
 	for _, fd := range frames {
-		if fd.QuerySelector("#cw-banner") != nil {
+		if fd.Query(dom.MustCompileSelector("#cw-banner")) != nil {
 			found = true
 		}
 	}
@@ -172,7 +172,7 @@ func TestAcceptFlowSetsTrackingCookies(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := b.Jar.Len()
-	accept := page.Doc.QuerySelector("#cw-accept")
+	accept := page.Doc.Query(dom.MustCompileSelector("#cw-accept"))
 	if accept == nil {
 		t.Fatal("accept button missing")
 	}
@@ -180,7 +180,7 @@ func TestAcceptFlowSetsTrackingCookies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Doc.QuerySelector("#cw-banner") != nil {
+	if after.Doc.Query(dom.MustCompileSelector("#cw-banner")) != nil {
 		t.Fatal("banner persists after accept")
 	}
 	if b.Jar.Len() <= before {
@@ -208,7 +208,7 @@ func TestRejectFlowOnRegularBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject := page.Doc.QuerySelector("#cmp-reject")
+	reject := page.Doc.Query(dom.MustCompileSelector("#cmp-reject"))
 	if reject == nil {
 		t.Fatal("reject button missing")
 	}
@@ -216,7 +216,7 @@ func TestRejectFlowOnRegularBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Doc.QuerySelector("#cmp-banner") != nil {
+	if after.Doc.Query(dom.MustCompileSelector("#cmp-banner")) != nil {
 		t.Fatal("banner persists after reject")
 	}
 	for _, c := range b.Jar.All() {
@@ -241,11 +241,11 @@ func TestSubscriptionFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sub *dom.Node
-	sub = page.Doc.QuerySelector("#cw-subscribe")
+	sub = page.Doc.Query(dom.MustCompileSelector("#cw-subscribe"))
 	if sub == nil {
 		// banner might be injected into the slot
 		for _, sr := range page.Doc.ShadowRoots() {
-			if n := sr.Root.QuerySelector("#cw-subscribe"); n != nil {
+			if n := sr.Root.Query(dom.MustCompileSelector("#cw-subscribe")); n != nil {
 				sub = n
 			}
 		}
@@ -257,7 +257,7 @@ func TestSubscriptionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Doc.QuerySelector("#sub-badge") == nil {
+	if after.Doc.Query(dom.MustCompileSelector("#sub-badge")) == nil {
 		t.Fatal("subscription badge missing after login")
 	}
 	for _, c := range b.Jar.All() {
@@ -278,7 +278,7 @@ func TestBlockerSuppressesBannerScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No banner anywhere: not in DOM, not in shadow roots, not in frames.
-	if page.Doc.QuerySelector("#cw-banner") != nil {
+	if page.Doc.Query(dom.MustCompileSelector("#cw-banner")) != nil {
 		t.Fatal("banner present despite blocker")
 	}
 	if len(page.Doc.ShadowRoots()) != 0 || len(page.Doc.FrameDocs()) != 0 {
@@ -300,7 +300,7 @@ func TestBlockerDoesNotAffectLocalBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page.Doc.QuerySelector("#cw-banner") == nil {
+	if page.Doc.Query(dom.MustCompileSelector("#cw-banner")) == nil {
 		t.Fatal("locally-served banner must survive the blocker")
 	}
 }
@@ -316,7 +316,7 @@ func TestBlockerTrackerSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accept := page.Doc.QuerySelector("#cw-accept")
+	accept := page.Doc.Query(dom.MustCompileSelector("#cw-accept"))
 	if _, err := b.Click(page, accept); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestAdblockQuirks(t *testing.T) {
 	if !page.AdblockPlea {
 		t.Fatal("anti-adblock plea not detected")
 	}
-	if page.Doc.QuerySelector("#adblock-plea") == nil {
+	if page.Doc.Query(dom.MustCompileSelector("#adblock-plea")) == nil {
 		t.Fatal("plea element should be revealed")
 	}
 
@@ -368,7 +368,7 @@ func TestAdblockQuirks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page3.AdblockPlea || page3.Doc.QuerySelector("#adblock-plea") != nil {
+	if page3.AdblockPlea || page3.Doc.Query(dom.MustCompileSelector("#adblock-plea")) != nil {
 		t.Fatal("plea visible without blocker")
 	}
 }
@@ -382,7 +382,7 @@ func TestGeoHidesBanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page.Doc.QuerySelector("#cw-banner, #cw-slot, #cw-host, #cw-frame") != nil {
+	if page.Doc.Query(dom.MustCompileSelector("#cw-banner, #cw-slot, #cw-host, #cw-frame")) != nil {
 		t.Fatal("geo-restricted banner visible from US East")
 	}
 }
@@ -415,12 +415,12 @@ func TestClickErrors(t *testing.T) {
 		t.Fatal("nil button must error")
 	}
 	// Subscribe without token.
-	sub := page.Doc.QuerySelector("#cw-subscribe")
+	sub := page.Doc.Query(dom.MustCompileSelector("#cw-subscribe"))
 	if _, err := b.Click(page, sub); err == nil {
 		t.Fatal("subscribe without token must error")
 	}
 	// Unknown action.
-	bogus := dom.NewElement("button", "data-action", "self-destruct")
+	bogus := dom.Parse(`<button data-action="self-destruct">`).Query(dom.MustCompileSelector("button"))
 	page.Doc.Body().AppendChild(bogus)
 	if _, err := b.Click(page, bogus); err == nil {
 		t.Fatal("unknown action must error")

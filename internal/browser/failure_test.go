@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cookiewalk/internal/dom"
 	"cookiewalk/internal/vantage"
 )
 
@@ -199,7 +200,7 @@ func TestInjectTargetMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page.Doc.ByID("w") != nil {
+	if page.Doc.Query(dom.MustCompileSelector("#w")) != nil {
 		t.Fatal("fragment injected without a target")
 	}
 	if st.hits["https://cdn.example/cw.js"] != 0 {

@@ -75,15 +75,6 @@ type Profile struct {
 // faultKinds lists the fault kinds in Profile order.
 var faultKinds = [...]string{FaultTimeout, FaultReset, Fault503, FaultTruncate, FaultStall}
 
-// pick maps a per-mille roll to a fault kind ("" = clean) by walking
-// cumulative thresholds in declaration order.
-func (p Profile) pick(roll uint64) string {
-	if i := xrand.PerMille(roll, p.Timeout, p.Reset, p.Err503, p.Truncate, p.Stall); i >= 0 {
-		return faultKinds[i]
-	}
-	return ""
-}
-
 func (p Profile) maxPerRequest() int {
 	switch {
 	case p.MaxPerRequest > 0:
@@ -127,17 +118,17 @@ type Transport struct {
 	// Logf, when non-nil, receives one line per injected fault.
 	Logf func(format string, args ...any)
 
-	timeouts, resets, err503s, truncates, stalls atomic.Uint64
+	injected [len(faultKinds)]atomic.Uint64 // indexed like faultKinds
 }
 
 // Injected returns the fault totals so far.
 func (t *Transport) Injected() Counters {
 	return Counters{
-		Timeouts:  t.timeouts.Load(),
-		Resets:    t.resets.Load(),
-		Err503s:   t.err503s.Load(),
-		Truncates: t.truncates.Load(),
-		Stalls:    t.stalls.Load(),
+		Timeouts:  t.injected[0].Load(),
+		Resets:    t.injected[1].Load(),
+		Err503s:   t.injected[2].Load(),
+		Truncates: t.injected[3].Load(),
+		Stalls:    t.injected[4].Load(),
 	}
 }
 
@@ -157,69 +148,51 @@ func (e *faultError) Unwrap() error   { return ErrInjected }
 func (e *faultError) Transient() bool { return true }
 func (e *faultError) Timeout() bool   { return e.kind == FaultTimeout }
 
-// decide returns the fault kind for this (request, attempt), or "".
-func (t *Transport) decide(req *http.Request) string {
+// inject is the one fault decision both seams make. It returns the
+// fault kind for this (request, attempt) — "" for a clean request —
+// and the error the request fails with. A fault is counted and logged
+// here; a stall first hangs for the profile's stall duration and
+// fails with the context's cause if the request is canceled first.
+// Each seam decides itself how a 503 or a truncation reaches its
+// caller.
+func (t *Transport) inject(req *http.Request) (string, error) {
 	if t.Hosts != nil && !t.Hosts(req.URL.Hostname()) {
-		return ""
+		return "", nil
 	}
 	attempt := browser.AttemptFromContext(req.Context())
 	if attempt >= t.Profile.maxPerRequest() {
-		return ""
+		return "", nil
 	}
 	key := xrand.Hash64(req.Method + " " + req.URL.String())
 	roll := xrand.Mix64(xrand.Mix64(t.Seed, key), uint64(attempt)) % 1000
-	return t.Profile.pick(roll)
-}
-
-func (t *Transport) count(kind string) {
-	switch kind {
-	case FaultTimeout:
-		t.timeouts.Add(1)
-	case FaultReset:
-		t.resets.Add(1)
-	case Fault503:
-		t.err503s.Add(1)
-	case FaultTruncate:
-		t.truncates.Add(1)
-	case FaultStall:
-		t.stalls.Add(1)
+	p := t.Profile
+	i := xrand.PerMille(roll, p.Timeout, p.Reset, p.Err503, p.Truncate, p.Stall)
+	if i < 0 {
+		return "", nil
 	}
-}
-
-func (t *Transport) logf(kind string, req *http.Request) {
+	kind := faultKinds[i]
+	t.injected[i].Add(1)
 	if t.Logf != nil {
 		t.Logf("faulttransport: %s %s %s", kind, req.Method, req.URL)
 	}
-}
-
-// stall hangs for the profile's stall duration, honoring ctx.
-func (t *Transport) stall(ctx context.Context) error {
-	timer := time.NewTimer(t.Profile.stallFor())
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
+	if kind == FaultStall {
+		timer := time.NewTimer(p.stallFor())
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-req.Context().Done():
+			return kind, context.Cause(req.Context())
+		}
 	}
+	return kind, &faultError{kind: kind, url: req.URL.String()}
 }
 
 // RoundTrip implements http.RoundTripper (the compatibility seam).
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	kind := t.decide(req)
-	if kind == "" {
-		return t.Base.RoundTrip(req)
-	}
-	t.count(kind)
-	t.logf(kind, req)
+	kind, err := t.inject(req)
 	switch kind {
-	case FaultTimeout, FaultReset:
-		return nil, &faultError{kind: kind, url: req.URL.String()}
-	case FaultStall:
-		if err := t.stall(req.Context()); err != nil {
-			return nil, err
-		}
-		return nil, &faultError{kind: kind, url: req.URL.String()}
+	case "":
+		return t.Base.RoundTrip(req)
 	case Fault503:
 		body := "injected 503: service unavailable\n"
 		return &http.Response{
@@ -234,19 +207,19 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			Request:       req,
 		}, nil
 	case FaultTruncate:
-		resp, err := t.Base.RoundTrip(req)
-		if err != nil {
-			return nil, err
+		resp, berr := t.Base.RoundTrip(req)
+		if berr != nil {
+			return nil, berr
 		}
 		// Deliver a real prefix, then tear the connection: readers see
 		// partial bytes followed by a transient error, never a clean EOF
 		// — exercising exactly the poisoning path the browser must
 		// refuse to fingerprint.
-		resp.Body = &tornBody{rc: resp.Body, remaining: 1024, err: &faultError{kind: kind, url: req.URL.String()}}
+		resp.Body = &tornBody{rc: resp.Body, remaining: 1024, err: err}
 		resp.ContentLength = -1
 		return resp, nil
 	}
-	return t.Base.RoundTrip(req)
+	return nil, err
 }
 
 // tornBody yields up to remaining bytes of the underlying body and
@@ -291,29 +264,17 @@ type BodyTransport struct {
 
 // RoundTripBody implements the fast-path seam.
 func (t *BodyTransport) RoundTripBody(req *http.Request) (status int, header http.Header, body string, fp uint64, err error) {
-	kind := t.decide(req)
-	if kind == "" {
-		return t.base.RoundTripBody(req)
-	}
-	t.count(kind)
-	t.logf(kind, req)
+	kind, err := t.inject(req)
 	switch kind {
-	case FaultTimeout, FaultReset:
-		return 0, nil, "", 0, &faultError{kind: kind, url: req.URL.String()}
-	case FaultStall:
-		if serr := t.stall(req.Context()); serr != nil {
-			return 0, nil, "", 0, serr
-		}
-		return 0, nil, "", 0, &faultError{kind: kind, url: req.URL.String()}
+	case "":
+		return t.base.RoundTripBody(req)
 	case Fault503:
 		return http.StatusServiceUnavailable, http.Header{}, "injected 503: service unavailable\n", 0, nil
-	case FaultTruncate:
-		// The fast path hands bodies over whole, so a torn transfer is
-		// an error with no bytes: there is no partial string to leak
-		// into fingerprinting.
-		return 0, nil, "", 0, &faultError{kind: kind, url: req.URL.String()}
 	}
-	return t.base.RoundTripBody(req)
+	// The fast path hands bodies over whole, so a torn transfer fails
+	// like the other faults, with no bytes: there is no partial string
+	// to leak into fingerprinting.
+	return 0, nil, "", 0, err
 }
 
 // Wrap puts a fault injector in front of base, picking the seam that

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"cookiewalk/internal/dom"
 	"cookiewalk/internal/synthweb"
 	"cookiewalk/internal/vantage"
 )
@@ -63,7 +64,7 @@ func TestClickReloadCarriesNoFormState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Click(page, page.Doc.QuerySelector("#cmp-reject")); err != nil {
+	if _, err := b.Click(page, page.Doc.Query(dom.MustCompileSelector("#cmp-reject"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,7 +134,7 @@ func TestRetriedPostResendsFullForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.Click(page, page.Doc.QuerySelector("#b")); err != nil {
+			if _, err := b.Click(page, page.Doc.Query(dom.MustCompileSelector("#b"))); err != nil {
 				t.Fatal(err)
 			}
 			var posts []seen
@@ -182,7 +183,7 @@ func TestPlainTransportGetsFreshRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Click(page, page.Doc.QuerySelector("#cmp-reject")); err != nil {
+	if _, err := b.Click(page, page.Doc.Query(dom.MustCompileSelector("#cmp-reject"))); err != nil {
 		t.Fatal(err)
 	}
 	if len(kt.kept) < 3 {

@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,14 +14,28 @@ import (
 // documents and text, so any write into its nodes shows up.
 func snapshot(p *Page) string {
 	var b strings.Builder
-	b.WriteString(dom.Render(p.Doc))
+	dumpTree(&b, p.Doc)
 	for _, fd := range p.Doc.FrameDocs() {
 		b.WriteString("\n--frame--\n")
-		b.WriteString(dom.Render(fd))
+		dumpTree(&b, fd)
 	}
 	b.WriteString("\n--text--\n")
 	b.WriteString(p.Doc.DeepText())
 	return b.String()
+}
+
+// dumpTree writes every field of n's subtree that parsing sets,
+// shadow roots included.
+func dumpTree(b *strings.Builder, n *dom.Node) {
+	fmt.Fprintf(b, "(%d %s %q %q", n.Type, n.Tag, n.Data, n.Attrs)
+	if n.Shadow != nil {
+		fmt.Fprintf(b, " shadow=%s", n.Shadow.Mode)
+		dumpTree(b, n.Shadow.Root)
+	}
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		dumpTree(b, c)
+	}
+	b.WriteByte(')')
 }
 
 // TestPagesOutliveScopedComposes pins the scoped-page lifetime rule:

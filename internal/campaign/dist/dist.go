@@ -154,8 +154,7 @@ var ErrUnauthorized = errors.New("dist: unauthorized (missing or invalid fleet t
 // the client exhausted its bounded retries against network errors, 5xx
 // responses or torn response bodies — exactly what a coordinator
 // restart looks like from outside. Workers keep polling through these
-// (see Worker.MaxDowntime) instead of dying while the control plane is
-// down.
+// (see Worker) instead of dying while the control plane is down.
 type TransientError struct{ Err error }
 
 func (e *TransientError) Error() string { return e.Err.Error() }
@@ -212,14 +211,6 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// jitter maps (seed, call, attempt) to a delay in [base/2, base] —
-// full determinism for tests, decorrelation across workers and calls
-// for the fleet. The formula lives in xrand.JitterDuration so the
-// browser's visit retries share the exact discipline.
-func jitter(seed, call uint64, attempt int, base time.Duration) time.Duration {
-	return xrand.JitterDuration(seed, call, attempt, base)
-}
-
 // do issues one request with bounded-backoff retries of transient
 // failures and returns the final response body and status code. A 401
 // is definitive and returned as ErrUnauthorized; exhausted retries are
@@ -267,7 +258,9 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		if attempt >= maxRetries {
 			return nil, 0, &TransientError{Err: lastErr}
 		}
-		delay := jitter(c.Seed, call, attempt, backoff)
+		// Jitter into [backoff/2, backoff], a pure function of (seed,
+		// call, attempt) shared with the browser's visit retries.
+		delay := xrand.JitterDuration(c.Seed, call, attempt, backoff)
 		if c.Sleep != nil {
 			c.Sleep(delay)
 		} else {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cookiewalk/internal/framelog"
+	"cookiewalk/internal/xrand"
 )
 
 // TestLedgerRoundTripAndTornTail: events appended to a ledger survive
@@ -215,12 +216,12 @@ func TestJitterBoundsAndDeterminism(t *testing.T) {
 	base := 100 * time.Millisecond
 	same := 0
 	for attempt := 0; attempt < 8; attempt++ {
-		d1 := jitter(1, 1, attempt, base)
-		d2 := jitter(2, 1, attempt, base)
+		d1 := xrand.JitterDuration(1, 1, attempt, base)
+		d2 := xrand.JitterDuration(2, 1, attempt, base)
 		if d1 < base/2 || d1 > base {
 			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d1, base/2, base)
 		}
-		if d1 != jitter(1, 1, attempt, base) {
+		if d1 != xrand.JitterDuration(1, 1, attempt, base) {
 			t.Fatalf("attempt %d: jitter not deterministic", attempt)
 		}
 		if d1 == d2 {

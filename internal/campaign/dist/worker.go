@@ -19,7 +19,7 @@ import (
 // Workers outlive coordinator restarts: a transient lease failure (the
 // client exhausted its retries against network errors or 5xx — what a
 // coordinator crash or graceful shutdown looks like) keeps the worker
-// polling until the endpoint returns, bounded only by MaxDowntime; a
+// polling until the endpoint returns, however long that takes; a
 // finished journal whose every fresh upload dies on transport is
 // abandoned the same way (the lease expires after its TTL and the
 // range re-leases). Definitive refusals — a wrong token (401), a
@@ -35,18 +35,10 @@ type Worker struct {
 	// under dir, and return the path of the finished journal file.
 	// Required.
 	Runner func(ctx context.Context, lease Lease, dir string) (string, error)
-	// ScratchDir is where per-lease working directories are created
-	// (default: the OS temp dir).
-	ScratchDir string
 	// Poll is the fallback wait when the coordinator says "wait"
 	// without a retry hint, and the pause between lease attempts while
 	// the coordinator is unreachable (default 500ms).
 	Poll time.Duration
-	// MaxDowntime bounds how long the coordinator may stay unreachable
-	// (continuous transient lease failures) before the worker gives up.
-	// Zero means wait forever — the right default for a fleet whose
-	// coordinator is expected to restart and resume.
-	MaxDowntime time.Duration
 	// ShipRetries bounds fresh re-uploads of a finished journal after a
 	// retryable shipping failure — a torn PUT that the coordinator
 	// rejected (422) or a transient transport error (default 3). The
@@ -72,29 +64,20 @@ func (w *Worker) poll() time.Duration {
 
 // Run loops until the coordinator's campaigns are fully merged or ctx
 // is canceled. Lost leases are not errors; an unreachable coordinator
-// is waited out (up to MaxDowntime); Runner failures and definitive
+// is waited out, however long; Runner failures and definitive
 // refusals are errors.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Client == nil || w.Runner == nil {
 		return fmt.Errorf("dist: worker needs Client and Runner")
 	}
-	var downSince time.Time
 	for {
 		reply, err := w.Client.Lease(ctx, w.Name)
 		switch {
 		case err == nil:
-			downSince = time.Time{}
 		case IsTransient(err) && ctx.Err() == nil:
 			// The coordinator is unreachable or erroring — possibly
 			// mid-restart. Keep polling; its ledger recovery will hand
 			// our ranges right back.
-			now := time.Now()
-			if downSince.IsZero() {
-				downSince = now
-			}
-			if w.MaxDowntime > 0 && now.Sub(downSince) > w.MaxDowntime {
-				return fmt.Errorf("dist: worker %s: fatal: coordinator unreachable for over %s: %w", w.Name, w.MaxDowntime, err)
-			}
 			w.logf("dist: worker %s: lease failed (retryable, coordinator may be restarting): %v", w.Name, err)
 			select {
 			case <-time.After(w.poll()):
@@ -134,7 +117,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // for torn or transiently failed PUTs). A lease lost at any stage
 // abandons the range silently.
 func (w *Worker) runLease(ctx context.Context, lease Lease) error {
-	dir, err := os.MkdirTemp(w.ScratchDir, "cookiewalk-lease-")
+	dir, err := os.MkdirTemp("", "cookiewalk-lease-")
 	if err != nil {
 		return err
 	}
@@ -201,7 +184,7 @@ func (w *Worker) runLease(ctx context.Context, lease Lease) error {
 		// shrink the fleet exactly when it is already degraded; instead
 		// abandon the range (our lease expires after its TTL and the
 		// range re-leases — possibly right back to us) and return to the
-		// lease loop, which waits the outage out under MaxDowntime.
+		// lease loop, which waits the outage out.
 		w.logf("dist: worker %s: abandoning lease %s after exhausted ship attempts (coordinator unreachable, range will re-lease): %v",
 			w.Name, lease.ID, err)
 		return nil

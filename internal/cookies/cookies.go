@@ -227,44 +227,10 @@ func (c *Cookie) sendable(h, path string, secure bool, now time.Time) bool {
 	return pathMatch(path, c.Path)
 }
 
-// sendOrder is the deterministic Cookie-header order: longest path,
-// then name, then domain.
-func sendOrder(a, b *Cookie) bool {
-	if len(a.Path) != len(b.Path) {
-		return len(a.Path) > len(b.Path)
-	}
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.Domain < b.Domain
-}
-
-// CookiesFor returns copies of the cookies that would be sent on a
-// request to host+path over a connection that is secure when secure is
-// true, sorted by longest path then name for deterministic header
-// order.
-func (j *Jar) CookiesFor(host, path string, secure bool) []*Cookie {
-	if path == "" {
-		path = "/"
-	}
-	h := canonicalHost(host)
-	now := j.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []*Cookie
-	for _, c := range j.cookies {
-		if c.sendable(h, path, secure, now) {
-			cc := c
-			out = append(out, &cc)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return sendOrder(out[a], out[b]) })
-	return out
-}
-
 // AppendCookieHeader appends the Cookie header value for a request to
-// host+path — "name1=v1; name2=v2" in the same deterministic order as
-// CookiesFor — onto dst and returns it. An empty jar (the stateless
+// host+path over a connection that is secure when secure is true —
+// "name1=v1; name2=v2", longest path first, then by name and domain —
+// onto dst and returns it. An empty jar (the stateless
 // landscape crawl's steady state) and a reused dst make the whole call
 // allocation-free; the emulated browser's request scratch path builds
 // its Cookie header here instead of materializing a []*Cookie per

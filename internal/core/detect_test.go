@@ -71,7 +71,7 @@ func TestDetectCookiewall(t *testing.T) {
 
 func TestDetectNoBanner(t *testing.T) {
 	b := Detect(dom.Parse(`<html><body><main><p>Just an article about cooking.</p></main></body></html>`))
-	if b.Kind != KindNone || b.HasBanner() {
+	if b.Kind != KindNone {
 		t.Fatalf("kind = %v", b.Kind)
 	}
 }
@@ -100,12 +100,12 @@ func TestDetectShadowDOMWorkaround(t *testing.T) {
 	}
 	// The element must be the ORIGINAL node inside the shadow root, not
 	// the search clone: mutating it must be visible via the host.
-	host := doc.ByID("host")
-	orig := host.Shadow.Root.ByID("cw")
+	host := doc.Query(dom.MustCompileSelector("#host"))
+	orig := host.Shadow.Root.Query(dom.MustCompileSelector("#cw"))
 	if b.Element != orig {
 		t.Fatal("detection returned a clone, not the original shadow node")
 	}
-	if b.AcceptButton == nil || b.AcceptButton != host.Shadow.Root.ByID("acc") {
+	if b.AcceptButton == nil || b.AcceptButton != host.Shadow.Root.Query(dom.MustCompileSelector("#acc")) {
 		t.Fatal("accept button is not the original shadow node")
 	}
 }
@@ -125,12 +125,12 @@ func TestDetectIFrameBanner(t *testing.T) {
 	frame := dom.Parse(`<html><body><div id="cw" class="consent-layer" role="dialog" style="position:fixed;top:0">` +
 		`<p>Keep reading with advertising or subscribe ad-free for $3.99 per month. We use cookies.</p>` +
 		`<button id="a">Accept all</button><button id="s">Subscribe now</button></div></body></html>`)
-	doc.ByID("f").FrameDoc = frame
+	doc.Query(dom.MustCompileSelector("#f")).FrameDoc = frame
 	b := Detect(doc)
 	if b.Kind != KindCookiewall || b.Source != SourceIFrame {
 		t.Fatalf("kind=%v source=%v", b.Kind, b.Source)
 	}
-	if b.Element != frame.ByID("cw") {
+	if b.Element != frame.Query(dom.MustCompileSelector("#cw")) {
 		t.Fatal("element is not the frame-document node")
 	}
 	wantWords := map[string]bool{"ad-free": true, "subscribe": true}

@@ -64,7 +64,7 @@ func BenchmarkDeepText(b *testing.B) {
 
 func BenchmarkCloneWithMap(b *testing.B) {
 	doc := Parse(benchPage)
-	host := doc.ByID("host")
+	host := doc.Query(MustCompileSelector("#host"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if c, _ := host.CloneWithMap(); c == nil {

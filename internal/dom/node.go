@@ -58,7 +58,7 @@ type ShadowRoot struct {
 }
 
 // Node is a single DOM node. The zero value is not useful; create nodes
-// with NewElement/NewDocument or by parsing.
+// with NewDocument or by parsing.
 type Node struct {
 	Type NodeType
 	// Tag is the lower-case element name for ElementNode.
@@ -88,16 +88,6 @@ type Node struct {
 
 // NewDocument returns an empty document root.
 func NewDocument() *Node { return &Node{Type: DocumentNode} }
-
-// NewElement returns a detached element with the given tag and
-// alternating key/value attribute pairs.
-func NewElement(tag string, kv ...string) *Node {
-	n := &Node{Type: ElementNode, Tag: strings.ToLower(tag)}
-	for i := 0; i+1 < len(kv); i += 2 {
-		n.Attrs = append(n.Attrs, htmlx.Attribute{Key: strings.ToLower(kv[i]), Val: kv[i+1]})
-	}
-	return n
-}
 
 // AppendChild adds c as the last child of n. c is detached first if
 // necessary.
@@ -238,32 +228,6 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 		}
 	}
 	return true
-}
-
-// ElementsByTag returns descendant elements with the given tag.
-func (n *Node) ElementsByTag(tag string) []*Node {
-	tag = strings.ToLower(tag)
-	var out []*Node
-	n.Walk(func(d *Node) bool {
-		if d.Type == ElementNode && d.Tag == tag {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
-}
-
-// ByID returns the first descendant element with the given id, or nil.
-func (n *Node) ByID(id string) *Node {
-	var found *Node
-	n.Walk(func(d *Node) bool {
-		if d.Type == ElementNode && d.ID() == id {
-			found = d
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // Root returns the highest ancestor of n (the document for attached

@@ -15,7 +15,7 @@ func TestParseBasicDocument(t *testing.T) {
 	if body == nil {
 		t.Fatal("no <body>")
 	}
-	p := body.QuerySelector("p")
+	p := body.Query(MustCompileSelector("p"))
 	if p == nil || p.Text() != "hi" {
 		t.Fatalf("p = %v", p)
 	}
@@ -26,10 +26,10 @@ func TestParseScaffoldsSparseInput(t *testing.T) {
 	if doc.Body() == nil {
 		t.Fatal("body not synthesized")
 	}
-	if doc.Body().QuerySelector("p") == nil {
+	if doc.Body().Query(MustCompileSelector("p")) == nil {
 		t.Fatal("content not placed in body")
 	}
-	if doc.DocumentElement().QuerySelector("head") == nil {
+	if doc.DocumentElement().Query(MustCompileSelector("head")) == nil {
 		t.Fatal("head not synthesized")
 	}
 }
@@ -38,17 +38,17 @@ func TestParseHeadOnlyElements(t *testing.T) {
 	doc := Parse(`<meta charset="utf-8"><title>x</title><div>content</div>`)
 	html := doc.DocumentElement()
 	head := childElement(html, "head")
-	if head == nil || len(head.ElementsByTag("meta")) != 1 {
+	if head == nil || len(head.QueryAll(MustCompileSelector("meta"))) != 1 {
 		t.Fatal("meta not in head")
 	}
-	if doc.Body().QuerySelector("div") == nil {
+	if doc.Body().Query(MustCompileSelector("div")) == nil {
 		t.Fatal("div not in body")
 	}
 }
 
 func TestParseNesting(t *testing.T) {
 	doc := Parse(`<div><ul><li>a</li><li>b<li>c</ul></div>`)
-	lis := doc.QuerySelectorAll("ul > li")
+	lis := doc.QueryAll(MustCompileSelector("ul > li"))
 	if len(lis) != 3 {
 		t.Fatalf("want 3 li (implied close), got %d", len(lis))
 	}
@@ -59,12 +59,12 @@ func TestParseNesting(t *testing.T) {
 
 func TestParseImpliedParagraphClose(t *testing.T) {
 	doc := Parse(`<p>one<p>two<div>three</div>`)
-	ps := doc.QuerySelectorAll("p")
+	ps := doc.QueryAll(MustCompileSelector("p"))
 	if len(ps) != 2 {
 		t.Fatalf("want 2 p, got %d", len(ps))
 	}
 	// div must be a sibling of the p's, not nested inside.
-	div := doc.QuerySelector("div")
+	div := doc.Query(MustCompileSelector("div"))
 	if div.Parent.Tag != "body" {
 		t.Fatalf("div parent = %q", div.Parent.Tag)
 	}
@@ -72,17 +72,17 @@ func TestParseImpliedParagraphClose(t *testing.T) {
 
 func TestParseTableCells(t *testing.T) {
 	doc := Parse(`<table><tr><td>a<td>b<tr><td>c</table>`)
-	if n := len(doc.QuerySelectorAll("td")); n != 3 {
+	if n := len(doc.QueryAll(MustCompileSelector("td"))); n != 3 {
 		t.Fatalf("want 3 td, got %d", n)
 	}
-	if n := len(doc.QuerySelectorAll("tr")); n != 2 {
+	if n := len(doc.QueryAll(MustCompileSelector("tr"))); n != 2 {
 		t.Fatalf("want 2 tr, got %d", n)
 	}
 }
 
 func TestParseUnmatchedEndTagIgnored(t *testing.T) {
 	doc := Parse(`<div>a</span>b</div>`)
-	div := doc.QuerySelector("div")
+	div := doc.Query(MustCompileSelector("div"))
 	if got := div.Text(); got != "ab" {
 		t.Fatalf("text = %q", got)
 	}
@@ -90,18 +90,18 @@ func TestParseUnmatchedEndTagIgnored(t *testing.T) {
 
 func TestParseVoidElements(t *testing.T) {
 	doc := Parse(`<div><img src="x"><br><input type="text">after</div>`)
-	img := doc.QuerySelector("img")
+	img := doc.Query(MustCompileSelector("img"))
 	if img.FirstChild != nil {
 		t.Fatal("img must not take children")
 	}
-	if doc.QuerySelector("div").Text() != "after" {
-		t.Fatalf("text = %q", doc.QuerySelector("div").Text())
+	if doc.Query(MustCompileSelector("div")).Text() != "after" {
+		t.Fatalf("text = %q", doc.Query(MustCompileSelector("div")).Text())
 	}
 }
 
 func TestParseDeclarativeShadowOpen(t *testing.T) {
 	doc := Parse(`<div id="host"><template shadowrootmode="open"><p class="inner">shadow text</p></template><span>light</span></div>`)
-	host := doc.ByID("host")
+	host := doc.Query(MustCompileSelector("#host"))
 	if host == nil || host.Shadow == nil {
 		t.Fatal("shadow root not attached")
 	}
@@ -109,21 +109,21 @@ func TestParseDeclarativeShadowOpen(t *testing.T) {
 		t.Fatalf("mode = %q", host.Shadow.Mode)
 	}
 	// Shadow content is in the fragment, not the light DOM.
-	if host.QuerySelector("p.inner") != nil {
+	if host.Query(MustCompileSelector("p.inner")) != nil {
 		t.Fatal("selector must not cross shadow boundary")
 	}
-	if p := host.Shadow.Root.QuerySelector("p.inner"); p == nil || p.Text() != "shadow text" {
+	if p := host.Shadow.Root.Query(MustCompileSelector("p.inner")); p == nil || p.Text() != "shadow text" {
 		t.Fatal("shadow content missing")
 	}
 	// Light DOM sibling preserved.
-	if host.QuerySelector("span") == nil {
+	if host.Query(MustCompileSelector("span")) == nil {
 		t.Fatal("light DOM lost")
 	}
 }
 
 func TestParseDeclarativeShadowClosed(t *testing.T) {
 	doc := Parse(`<div id="h"><template shadowrootmode="closed"><button>Subscribe</button></template></div>`)
-	h := doc.ByID("h")
+	h := doc.Query(MustCompileSelector("#h"))
 	if h.Shadow == nil || h.Shadow.Mode != ShadowClosed {
 		t.Fatalf("shadow = %+v", h.Shadow)
 	}
@@ -131,18 +131,18 @@ func TestParseDeclarativeShadowClosed(t *testing.T) {
 
 func TestParseLegacyShadowRootAttr(t *testing.T) {
 	doc := Parse(`<div id="h"><template shadowroot="open"><i>x</i></template></div>`)
-	if doc.ByID("h").Shadow == nil {
+	if doc.Query(MustCompileSelector("#h")).Shadow == nil {
 		t.Fatal("legacy shadowroot attribute not honoured")
 	}
 }
 
 func TestParseNestedShadow(t *testing.T) {
 	doc := Parse(`<div id="outer"><template shadowrootmode="open"><div id="inner"><template shadowrootmode="closed"><b>deep</b></template></div></template></div>`)
-	outer := doc.ByID("outer")
+	outer := doc.Query(MustCompileSelector("#outer"))
 	if outer.Shadow == nil {
 		t.Fatal("outer shadow missing")
 	}
-	inner := outer.Shadow.Root.ByID("inner")
+	inner := outer.Shadow.Root.Query(MustCompileSelector("#inner"))
 	if inner == nil || inner.Shadow == nil {
 		t.Fatal("inner shadow missing")
 	}
@@ -157,18 +157,18 @@ func TestParseNestedShadow(t *testing.T) {
 
 func TestParsePlainTemplateIsElement(t *testing.T) {
 	doc := Parse(`<div><template><p>inert</p></template></div>`)
-	div := doc.QuerySelector("div")
+	div := doc.Query(MustCompileSelector("div"))
 	if div.Shadow != nil {
 		t.Fatal("plain template must not attach shadow")
 	}
-	if doc.QuerySelector("template") == nil {
+	if doc.Query(MustCompileSelector("template")) == nil {
 		t.Fatal("template element missing")
 	}
 }
 
 func TestParseFragment(t *testing.T) {
 	frag := ParseFragment(`<div class="cw"><button>Accept</button></div>`)
-	if frag.QuerySelector("div.cw > button") == nil {
+	if frag.Query(MustCompileSelector("div.cw > button")) == nil {
 		t.Fatal("fragment structure wrong")
 	}
 	if frag.DocumentElement() != nil {
@@ -178,7 +178,7 @@ func TestParseFragment(t *testing.T) {
 
 func TestParseScriptContentPreserved(t *testing.T) {
 	doc := Parse(`<script>var x = "<div>"; if (1<2) {}</script>`)
-	scripts := doc.ElementsByTag("script")
+	scripts := doc.QueryAll(MustCompileSelector("script"))
 	if len(scripts) != 1 {
 		t.Fatalf("scripts = %d", len(scripts))
 	}
@@ -202,7 +202,7 @@ func TestRenderRoundTrip(t *testing.T) {
 		t.Fatalf("render not stable:\n1: %s\n2: %s", out, Render(doc2))
 	}
 	// Shadow preserved through the round trip.
-	host := doc2.ByID("a")
+	host := doc2.Query(MustCompileSelector("#a"))
 	if host == nil || host.Shadow == nil {
 		t.Fatal("shadow lost in round trip")
 	}
@@ -210,33 +210,33 @@ func TestRenderRoundTrip(t *testing.T) {
 
 func TestCloneWithMap(t *testing.T) {
 	doc := Parse(`<div id="host"><template shadowrootmode="open"><button id="btn">Pay</button></template><span>light</span></div>`)
-	host := doc.ByID("host")
+	host := doc.Query(MustCompileSelector("#host"))
 	clone, back := host.CloneWithMap()
 	// The clone's shadow button maps back to the original.
-	cb := clone.Shadow.Root.ByID("btn")
+	cb := clone.Shadow.Root.Query(MustCompileSelector("#btn"))
 	if cb == nil {
 		t.Fatal("clone lost shadow content")
 	}
 	orig := back[cb]
-	if orig == nil || orig != host.Shadow.Root.ByID("btn") {
+	if orig == nil || orig != host.Shadow.Root.Query(MustCompileSelector("#btn")) {
 		t.Fatal("back-map does not reach original button")
 	}
 	// Mutating the clone must not touch the original.
 	cb.SetAttr("id", "changed")
-	if host.Shadow.Root.ByID("btn") == nil {
+	if host.Shadow.Root.Query(MustCompileSelector("#btn")) == nil {
 		t.Fatal("original mutated through clone")
 	}
 }
 
 func TestDetachAndInsertBefore(t *testing.T) {
 	doc := Parse(`<ul><li id="a">a</li><li id="b">b</li><li id="c">c</li></ul>`)
-	ul := doc.QuerySelector("ul")
-	c := doc.ByID("c")
-	a := doc.ByID("a")
+	ul := doc.Query(MustCompileSelector("ul"))
+	c := doc.Query(MustCompileSelector("#c"))
+	a := doc.Query(MustCompileSelector("#a"))
 	c.Detach()
 	ul.InsertBefore(c, a)
 	var order []string
-	for _, li := range ul.QuerySelectorAll("li") {
+	for _, li := range ul.QueryAll(MustCompileSelector("li")) {
 		order = append(order, li.ID())
 	}
 	if strings.Join(order, "") != "cab" {
@@ -258,7 +258,7 @@ func TestParseEndTagCannotCrossShadow(t *testing.T) {
 	// A stray </div> inside a shadow template must not close the host's
 	// ancestors.
 	doc := Parse(`<div id="outer"><div id="host"><template shadowrootmode="open"></div></template><span id="s">x</span></div></div>`)
-	s := doc.ByID("s")
+	s := doc.Query(MustCompileSelector("#s"))
 	if s == nil {
 		t.Fatal("span lost")
 	}

@@ -6,7 +6,8 @@ import (
 	"cookiewalk/internal/htmlx"
 )
 
-// Render serializes n's subtree back to HTML. Declarative shadow roots
+// Render serializes n's subtree back to HTML; the parse tests and the
+// fuzz targets use it as their round-trip oracle. Declarative shadow roots
 // are emitted as <template shadowrootmode=...> so a render/parse round
 // trip preserves shadow structure. iframe content documents are NOT
 // inlined (they are separate resources).

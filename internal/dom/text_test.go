@@ -2,6 +2,8 @@ package dom
 
 import (
 	"testing"
+
+	"cookiewalk/internal/htmlx"
 )
 
 func TestTextNormalization(t *testing.T) {
@@ -31,9 +33,9 @@ func TestTextBlockBoundaries(t *testing.T) {
 
 func TestDeepTextIncludesShadowAndFrames(t *testing.T) {
 	doc := Parse(`<div id="host"><template shadowrootmode="open"><p>in shadow</p></template><p>in light</p></div>`)
-	host := doc.ByID("host")
+	host := doc.Query(MustCompileSelector("#host"))
 	frameDoc := Parse(`<body><p>in frame</p></body>`)
-	iframe := NewElement("iframe", "src", "https://cmp.example/banner")
+	iframe := &Node{Type: ElementNode, Tag: "iframe", Attrs: []htmlx.Attribute{{Key: "src", Val: "https://cmp.example/banner"}}}
 	iframe.FrameDoc = frameDoc
 	host.AppendChild(iframe)
 
@@ -77,19 +79,11 @@ func TestNormalizeSpace(t *testing.T) {
 }
 
 func TestStyleProps(t *testing.T) {
-	n := NewElement("div", "style", "position: fixed; Z-INDEX: 9999; bottom:0;; broken")
-	props := n.StyleProps()
-	if props["position"] != "fixed" {
-		t.Fatalf("position = %q", props["position"])
-	}
-	if props["z-index"] != "9999" {
-		t.Fatalf("z-index = %q", props["z-index"])
-	}
-	if _, ok := props["broken"]; ok {
-		t.Fatal("malformed declaration kept")
-	}
-	if n.Style("POSITION") != "fixed" {
-		t.Fatal("Style must be case-insensitive on key")
+	n := &Node{Type: ElementNode, Tag: "div", Attrs: []htmlx.Attribute{{Key: "style", Val: "position: fixed; Z-INDEX: 9999; bottom:0;; broken; bottom: 1px"}}}
+	for prop, want := range map[string]string{"position": "fixed", "z-index": "9999", "broken": "", "bottom": "1px"} {
+		if got := n.styleVal(prop); got != want {
+			t.Errorf("styleVal(%q) = %q, want %q", prop, got, want)
+		}
 	}
 }
 
@@ -107,7 +101,7 @@ func TestIsDisplayed(t *testing.T) {
 	}
 	for _, c := range cases {
 		doc := Parse(c.html)
-		if got := doc.ByID("x").IsDisplayed(); got != c.want {
+		if got := doc.Query(MustCompileSelector("#x")).IsDisplayed(); got != c.want {
 			t.Errorf("%s: IsDisplayed = %v", c.html, got)
 		}
 	}
@@ -115,14 +109,14 @@ func TestIsDisplayed(t *testing.T) {
 
 func TestIsVisibleClimbsAncestors(t *testing.T) {
 	doc := Parse(`<div style="display:none"><p id="p">hidden by parent</p></div>`)
-	if doc.ByID("p").IsVisible() {
+	if doc.Query(MustCompileSelector("#p")).IsVisible() {
 		t.Fatal("child of display:none must be invisible")
 	}
 }
 
 func TestIsVisibleClimbsOutOfShadow(t *testing.T) {
 	doc := Parse(`<div id="host" style="display:none"><template shadowrootmode="open"><p id="sp">x</p></template></div>`)
-	sp := doc.ByID("host").Shadow.Root.ByID("sp")
+	sp := doc.Query(MustCompileSelector("#host")).Shadow.Root.Query(MustCompileSelector("#sp"))
 	if sp == nil {
 		t.Fatal("shadow content missing")
 	}
@@ -147,7 +141,7 @@ func TestIsOverlay(t *testing.T) {
 	}
 	for _, c := range cases {
 		doc := Parse(c.html)
-		if got := doc.ByID("x").IsOverlay(); got != c.want {
+		if got := doc.Query(MustCompileSelector("#x")).IsOverlay(); got != c.want {
 			t.Errorf("%s: IsOverlay = %v, want %v", c.html, got, c.want)
 		}
 	}
@@ -155,7 +149,7 @@ func TestIsOverlay(t *testing.T) {
 
 func TestFrameDocsIncludesShadowHostedFrames(t *testing.T) {
 	doc := Parse(`<div id="host"><template shadowrootmode="open"><iframe id="f"></iframe></template></div>`)
-	f := doc.ByID("host").Shadow.Root.ByID("f")
+	f := doc.Query(MustCompileSelector("#host")).Shadow.Root.Query(MustCompileSelector("#f"))
 	f.FrameDoc = Parse(`<p>frame content</p>`)
 	if n := len(doc.Root().FrameDocs()); n != 1 {
 		t.Fatalf("FrameDocs = %d", n)

@@ -57,7 +57,8 @@ type Config struct {
 }
 
 // circuitOpenError is returned, naming the host, by Admit while a
-// host's breaker is open; IsCircuitOpen recognizes it. It is
+// host's breaker is open; callers recognize it by its CircuitOpen
+// method. It is
 // definitive for the current request: retrying immediately cannot
 // help, the visit should fail fast and be accounted as a visit error.
 type circuitOpenError struct{ host string }
@@ -69,23 +70,6 @@ func (e *circuitOpenError) Error() string {
 // CircuitOpen marks the error structurally so callers can classify it
 // without importing this package.
 func (e *circuitOpenError) CircuitOpen() bool { return true }
-
-// IsCircuitOpen reports whether err (or anything it wraps) is a
-// breaker fail-fast from a Gate.
-func IsCircuitOpen(err error) bool {
-	type co interface{ CircuitOpen() bool }
-	for err != nil {
-		if c, ok := err.(co); ok && c.CircuitOpen() {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
 
 type breakerState int
 

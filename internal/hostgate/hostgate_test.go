@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// isCircuitOpen reports whether err wraps the breaker's fail-fast
+// error.
+func isCircuitOpen(err error) bool {
+	var open *circuitOpenError
+	return errors.As(err, &open)
+}
+
 // fakeClock is a manually advanced clock shared by Now and Sleep so
 // rate-limiter tests never wait on real time.
 type fakeClock struct {
@@ -135,14 +142,14 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	}
 	// Open: fail fast.
 	err := acquire(g, ctx, host)
-	if !IsCircuitOpen(err) {
+	if !isCircuitOpen(err) {
 		t.Fatalf("acquire while open = %v, want circuit-open", err)
 	}
-	if IsCircuitOpen(fmt.Errorf("wrapped: %w", errors.New("other"))) {
-		t.Fatal("IsCircuitOpen misclassified an unrelated error")
+	if isCircuitOpen(fmt.Errorf("wrapped: %w", errors.New("other"))) {
+		t.Fatal("an unrelated error classified as circuit-open")
 	}
-	if !IsCircuitOpen(fmt.Errorf("visit: %w", err)) {
-		t.Fatal("IsCircuitOpen failed to see through wrapping")
+	if !isCircuitOpen(fmt.Errorf("visit: %w", err)) {
+		t.Fatal("circuit-open not seen through wrapping")
 	}
 
 	// After the cooldown a single probe is admitted; a second caller
@@ -151,14 +158,14 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	if err := acquire(g, ctx, host); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
-	if err := acquire(g, ctx, host); !IsCircuitOpen(err) {
+	if err := acquire(g, ctx, host); !isCircuitOpen(err) {
 		t.Fatalf("second caller during probe = %v, want circuit-open", err)
 	}
 	// Probe fails: straight back to open, cooldown restarted.
 	if !g.Report(host, true) {
 		t.Fatal("failed probe did not re-trip")
 	}
-	if err := acquire(g, ctx, host); !IsCircuitOpen(err) {
+	if err := acquire(g, ctx, host); !isCircuitOpen(err) {
 		t.Fatalf("after failed probe = %v, want circuit-open", err)
 	}
 
@@ -302,7 +309,7 @@ func TestGateHammer(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				host := hosts[(w+i)%len(hosts)]
 				err := acquire(g, ctx, host)
-				if IsCircuitOpen(err) {
+				if isCircuitOpen(err) {
 					denied.Add(1)
 					continue
 				}

@@ -12,7 +12,8 @@ import (
 //
 // Usage follows the x/net/html pattern:
 //
-//	z := htmlx.NewTokenizer(page)
+//	var z htmlx.Tokenizer
+//	z.Reset(page)
 //	for {
 //		tok := z.Next()
 //		if tok.Type == htmlx.ErrorToken {
@@ -35,11 +36,6 @@ type Tokenizer struct {
 	// since the previous Recycle and reuses that memory for the tokens
 	// that follow, so a scoped parse allocates no attributes once warm.
 	attrs arena.Arena[Attribute]
-}
-
-// NewTokenizer returns a Tokenizer reading from input.
-func NewTokenizer(input string) *Tokenizer {
-	return &Tokenizer{input: input}
 }
 
 // Reset re-targets the tokenizer at a new input, allowing pooled reuse

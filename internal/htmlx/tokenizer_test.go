@@ -10,7 +10,8 @@ import (
 // collect tokenizes the whole input.
 func collect(t *testing.T, input string) []Token {
 	t.Helper()
-	z := NewTokenizer(input)
+	z := new(Tokenizer)
+	z.Reset(input)
 	var out []Token
 	for i := 0; i < 10000; i++ {
 		tok := z.Next()
@@ -322,7 +323,8 @@ func TestNumericEntityEdgeCases(t *testing.T) {
 // Property: the tokenizer terminates and never panics on arbitrary input.
 func TestQuickTokenizerTotal(t *testing.T) {
 	f := func(s string) bool {
-		z := NewTokenizer(s)
+		z := new(Tokenizer)
+		z.Reset(s)
 		for i := 0; i < len(s)+10; i++ {
 			if z.Next().Type == ErrorToken {
 				return true
@@ -350,7 +352,8 @@ func BenchmarkTokenizeBannerPage(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(page)))
 	for i := 0; i < b.N; i++ {
-		z := NewTokenizer(page)
+		z := new(Tokenizer)
+		z.Reset(page)
 		for z.Next().Type != ErrorToken {
 		}
 	}
@@ -413,7 +416,7 @@ func TestAttributesCrossChunkBoundary(t *testing.T) {
 	}
 
 	t.Run("plain", func(t *testing.T) {
-		z := NewTokenizer("")
+		z := new(Tokenizer)
 		first := tokenize(z)
 		second := tokenize(z) // Reset must not rewind the arena
 		check(t, first)

@@ -71,20 +71,14 @@ type analysisEntry struct {
 	failed bool
 }
 
-// get returns the memoized analysis for fp, computing it via compute
-// on first claim. compute runs on the claiming goroutine; concurrent
-// callers with the same fingerprint block until it finishes and share
-// the result.
-func (c *analysisCache) get(fp uint64, compute func() core.Analysis) core.Analysis {
-	a, _ := c.getChecked(fp, func() (core.Analysis, error) { return compute(), nil })
-	return a
-}
-
-// getChecked is get for computations that can fail: a compute error is
-// returned to the claiming caller only, the entry is unpublished, and
-// any concurrent waiters on the same fingerprint loop back to claim
-// the slot themselves — their own visit's fetch decides their outcome.
-// Nothing about a failure is ever memoized.
+// getChecked returns the memoized analysis for fp, computing it via
+// compute on first claim. compute runs on the claiming goroutine;
+// concurrent callers with the same fingerprint block until it finishes
+// and share the result. A compute error is returned to the claiming
+// caller only, the entry is unpublished, and any concurrent waiters on
+// the same fingerprint loop back to claim the slot themselves — their
+// own visit's fetch decides their outcome. Nothing about a failure is
+// ever memoized.
 func (c *analysisCache) getChecked(fp uint64, compute func() (core.Analysis, error)) (core.Analysis, error) {
 	s := &c.shards[fp%analysisShards]
 	for {

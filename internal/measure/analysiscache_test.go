@@ -16,6 +16,12 @@ import (
 	"cookiewalk/internal/webfarm"
 )
 
+// get is getChecked for a compute that cannot fail.
+func (c *analysisCache) get(fp uint64, compute func() core.Analysis) core.Analysis {
+	a, _ := c.getChecked(fp, func() (core.Analysis, error) { return compute(), nil })
+	return a
+}
+
 // TestAnalysisCacheSingleflight pins the dedup contract: many
 // goroutines racing on ONE fingerprint run the compute exactly once
 // and all observe its result.

@@ -176,24 +176,6 @@ func ranks(xs []float64) []float64 {
 	return out
 }
 
-// Histogram counts values per integer bucket produced by bucketOf.
-func Histogram(xs []float64, bucketOf func(float64) int) map[int]int {
-	h := make(map[int]int)
-	for _, x := range xs {
-		h[bucketOf(x)]++
-	}
-	return h
-}
-
-// IntsToFloats converts a []int sample.
-func IntsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // Ratio returns a/b, or 0 when b is 0 — for "42 times more tracking
 // cookies" style comparisons.
 func Ratio(a, b float64) float64 {

@@ -2,14 +2,14 @@ package trend
 
 import (
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"cookiewalk/internal/bearer"
 )
 
 // The query API. Routes follow the coordinator API's conventions
@@ -90,27 +90,15 @@ func NewServer(cfg ServerConfig) *Server {
 
 // Handler returns the API handler (mount it on a server of your
 // choosing). With a token configured every route requires
-// "Authorization: Bearer <token>"; comparison is constant-time over
-// digests, as in the fleet coordinator.
+// "Authorization: Bearer <token>" (bearer.Guard, shared with the fleet
+// coordinator).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/trends/{metric}", s.handleTrend)
 	mux.HandleFunc("GET /v1/rounds", s.handleRounds)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	if s.cfg.Token == "" {
-		return mux
-	}
-	want := sha256.Sum256([]byte(s.cfg.Token))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		got := sha256.Sum256([]byte(tok))
-		if !ok || subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
-			http.Error(w, "missing or invalid token", http.StatusUnauthorized)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
+	return bearer.Guard(mux, s.cfg.Token, "missing or invalid token")
 }
 
 // CacheStats snapshots the response cache accounting.
